@@ -13,7 +13,7 @@
      dune exec bench/main.exe execbench --json BENCH_pr4.json  -- machine-readable curve
      dune exec bench/main.exe stealbench      -- static vs work-stealing placement
      dune exec bench/main.exe stealbench --json BENCH_pr7.json  -- machine-readable comparison
-     dune exec bench/main.exe interpbench     -- tree vs bytecode vs closure engines
+     dune exec bench/main.exe interpbench     -- tree vs closure engines
      dune exec bench/main.exe interpbench --json BENCH_pr8.json  -- machine-readable comparison
      dune exec bench/main.exe synthbench      -- paper-scale multi-start synthesis
      dune exec bench/main.exe synthbench --json BENCH_pr9.json  -- machine-readable panels
@@ -24,10 +24,6 @@
    --jobs N fans candidate-layout simulation across N domains
    (default: Domain.recommended_domain_count, capped at 8).  Results
    are bit-identical for every N; only wall-clock changes.
-
-   --sim-reference routes every simulation through the pre-dense
-   reference implementation (same results, slower) — the oracle the
-   equivalence tests check the fast path against.
 
    Absolute cycle counts are not comparable with the paper (the
    TILEPro64 is replaced by a cost-model simulator, inputs are
@@ -368,7 +364,8 @@ let simbench_result : simbench Lazy.t =
      let run_ref () =
        List.fold_left
          (fun acc l ->
-           acc + (Bamboo.Schedsim.simulate_reference prog prof l).Bamboo.Schedsim.s_sim_events)
+           let r = Bamboo_oracle.Schedsim_reference.simulate prog prof l in
+           acc + r.Bamboo.Schedsim.s_sim_events)
          0 layouts
      in
      let run_dense () =
@@ -689,21 +686,18 @@ let stealbench () =
     exit 1)
 
 (* ------------------------------------------------------------------ *)
-(* interpbench: the three interpreter engines — tree-walking oracle,
-   flat bytecode executor, and the closure-compiled engine — timed on
-   the same sequential runtime workload.  Every row cross-checks the
-   canonical digest AND the exact charged cycle total across all three
-   engines before reporting a time; the speedup columns count one-off
-   code generation against the engine that needs it (bytecode
-   compilation for both compiled tiers, plus closure codegen for the
-   closure tier — both are part of end-to-end `bamboo run`). *)
+(* interpbench: the two interpreter engines — tree-walking oracle and
+   the closure-compiled engine — timed on the same sequential runtime
+   workload.  Every row cross-checks the canonical digest AND the exact
+   charged cycle total across both engines before reporting a time; the
+   speedup column counts the closure engine's one-off code generation
+   (bytecode compilation plus closure codegen, both part of end-to-end
+   `bamboo run`) against it. *)
 
 type interprow = {
   ir_name : string;
-  ir_compile_seconds : float;  (* IR -> bytecode, once per program *)
-  ir_closgen_seconds : float;  (* bytecode -> closures, once per program *)
+  ir_codegen_seconds : float;  (* IR -> bytecode -> closures, once per program *)
   ir_tree_wall : float;
-  ir_byte_wall : float;
   ir_clos_wall : float;
   ir_reps : int;
   ir_cycles : int;
@@ -711,21 +705,11 @@ type interprow = {
   ir_digest_ok : bool;
 }
 
-(* Wall-time speedup of the bytecode engine over the tree walker, with
-   its one-off compilation counted against it. *)
-let ir_speedup_byte r =
-  let byte = r.ir_byte_wall +. r.ir_compile_seconds in
-  if byte > 0.0 then r.ir_tree_wall /. byte else 0.0
-
-(* Wall-time speedup of the closure engine over the bytecode engine.
-   Both tiers pay bytecode compilation; the closure tier additionally
-   pays closure codegen. *)
+(* Wall-time speedup of the closure engine over the tree walker, with
+   its one-off codegen counted against it. *)
 let ir_speedup_clos r =
-  let clos = r.ir_clos_wall +. r.ir_compile_seconds +. r.ir_closgen_seconds in
-  if clos > 0.0 then (r.ir_byte_wall +. r.ir_compile_seconds) /. clos else 0.0
-
-let ir_byte_cycles_per_sec r =
-  if r.ir_byte_wall > 0.0 then float_of_int r.ir_cycles /. r.ir_byte_wall else 0.0
+  let clos = r.ir_clos_wall +. r.ir_codegen_seconds in
+  if clos > 0.0 then r.ir_tree_wall /. clos else 0.0
 
 let ir_clos_cycles_per_sec r =
   if r.ir_clos_wall > 0.0 then float_of_int r.ir_cycles /. r.ir_clos_wall else 0.0
@@ -746,11 +730,8 @@ let interpbench_results : interprow list Lazy.t =
          in
          let prog = Bamboo.compile b.b_source in
          let t0 = Bamboo.Clock.now () in
-         ignore (Bamboo.Icompile.get prog);
-         let compile_seconds = Bamboo.Clock.elapsed t0 in
-         let t0 = Bamboo.Clock.now () in
          ignore (Bamboo.Iclosure.get prog);
-         let closgen_seconds = Bamboo.Clock.elapsed t0 in
+         let codegen_seconds = Bamboo.Clock.elapsed t0 in
          let time_engine e =
            with_engine e (fun () ->
                let best = ref infinity and last = ref None in
@@ -767,45 +748,39 @@ let interpbench_results : interprow list Lazy.t =
                  Bamboo.Canon.digest prog ~output:r.r_output ~objects:r.r_objects ))
          in
          let clos_wall, clos_cycles, clos_digest = time_engine Bamboo.Interp.Closure in
-         let byte_wall, byte_cycles, byte_digest = time_engine Bamboo.Interp.Bytecode in
          let tree_wall, tree_cycles, tree_digest = time_engine Bamboo.Interp.Tree in
          {
            ir_name = b.b_name;
-           ir_compile_seconds = compile_seconds;
-           ir_closgen_seconds = closgen_seconds;
+           ir_codegen_seconds = codegen_seconds;
            ir_tree_wall = tree_wall;
-           ir_byte_wall = byte_wall;
            ir_clos_wall = clos_wall;
            ir_reps = reps;
            ir_cycles = clos_cycles;
-           ir_cycles_ok = byte_cycles = tree_cycles && clos_cycles = tree_cycles;
-           ir_digest_ok = byte_digest = tree_digest && clos_digest = tree_digest;
+           ir_cycles_ok = clos_cycles = tree_cycles;
+           ir_digest_ok = clos_digest = tree_digest;
          })
        Registry.all)
 
 let interpbench () =
   let rows = Lazy.force interpbench_results in
-  print_endline "== interpbench: tree oracle vs bytecode vs closure engines ==";
+  print_endline "== interpbench: tree oracle vs closure engine ==";
   Printf.printf
-    "   (sequential runtime, best of %s; speedups count one-off codegen time;\n\
-    \    cycles and digest are asserted bit-identical across all three engines)\n"
+    "   (sequential runtime, best of %s; the speedup counts one-off codegen time;\n\
+    \    cycles and digest are asserted bit-identical across both engines)\n"
     (if !quick then "1 rep" else "5 reps");
   Table.print
     ~headers:
       [
-        "Benchmark"; "compile s"; "closgen s"; "tree s"; "bytecode s"; "closure s";
-        "byte/tree"; "clos/byte"; "Mcycles/s"; "cycles"; "digest";
+        "Benchmark"; "codegen s"; "tree s"; "closure s"; "clos/tree"; "Mcycles/s"; "cycles";
+        "digest";
       ]
     (List.map
        (fun r ->
          [
            r.ir_name;
-           Printf.sprintf "%.4f" r.ir_compile_seconds;
-           Printf.sprintf "%.4f" r.ir_closgen_seconds;
+           Printf.sprintf "%.4f" r.ir_codegen_seconds;
            Printf.sprintf "%.3f" r.ir_tree_wall;
-           Printf.sprintf "%.3f" r.ir_byte_wall;
            Printf.sprintf "%.3f" r.ir_clos_wall;
-           Printf.sprintf "%.2fx" (ir_speedup_byte r);
            Printf.sprintf "%.2fx" (ir_speedup_clos r);
            Printf.sprintf "%.1f" (ir_clos_cycles_per_sec r /. 1e6);
            (if r.ir_cycles_ok then "ok" else "MISMATCH");
@@ -1235,8 +1210,8 @@ let servebench () =
 (* ------------------------------------------------------------------ *)
 (* JSON emitters (machine-readable records so future PRs can track the
    perf trajectory): BENCH_pr3 = figures + simulator microbenchmark,
-   BENCH_pr4 = domains-backend scaling curve, BENCH_pr8 = three-way
-   interpreter engine comparison (supersedes BENCH_pr5), BENCH_pr9 =
+   BENCH_pr4 = domains-backend scaling curve, BENCH_pr8 = interpreter
+   engine comparison (supersedes BENCH_pr5), BENCH_pr9 =
    paper-scale synthesis panels, BENCH_pr10 = streaming-runtime rate
    sweeps.  All built on the shared Json_out tree. *)
 
@@ -1385,16 +1360,12 @@ let emit_interp_json path =
     Obj
       [
         ("name", Str r.ir_name);
-        ("compile_seconds", Float r.ir_compile_seconds);
-        ("closure_codegen_seconds", Float r.ir_closgen_seconds);
+        ("codegen_seconds", Float r.ir_codegen_seconds);
         ("tree_wall_seconds", Float r.ir_tree_wall);
-        ("bytecode_wall_seconds", Float r.ir_byte_wall);
         ("closure_wall_seconds", Float r.ir_clos_wall);
         ("reps", Int r.ir_reps);
-        ("speedup_bytecode_vs_tree", Float (ir_speedup_byte r));
-        ("speedup_closure_vs_bytecode", Float (ir_speedup_clos r));
+        ("speedup_closure_vs_tree", Float (ir_speedup_clos r));
         ("cycles", Int r.ir_cycles);
-        ("bytecode_cycles_per_sec", Float (ir_byte_cycles_per_sec r));
         ("closure_cycles_per_sec", Float (ir_clos_cycles_per_sec r));
         ("cycles_ok", Bool r.ir_cycles_ok);
         ("digest_ok", Bool r.ir_digest_ok);
@@ -1536,9 +1507,6 @@ let () =
     | [] -> []
     | "--quick" :: rest ->
         quick := true;
-        parse rest
-    | "--sim-reference" :: rest ->
-        Bamboo.Schedsim.use_reference := true;
         parse rest
     | "--jobs" :: n :: rest ->
         (* Same 1..64 cap as the CLI: more domains than that only adds

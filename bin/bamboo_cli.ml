@@ -115,50 +115,24 @@ let domains_arg =
            schedulers are multiplexed over them; default: recommended domain count, capped \
            at 8)")
 
-let sim_reference_arg =
-  Arg.(
-    value & flag
-    & info [ "sim-reference" ]
-        ~doc:
-          "route scheduling simulations through the pre-dense reference implementation \
-           (bit-identical results, slower; also enabled by the BAMBOO_SIM_REFERENCE \
-           environment variable)")
-
 let engine_arg =
   Arg.(
     value
     & opt
         (some
            (enum
-              [
-                ("tree", Bamboo.Interp.Tree);
-                ("bytecode", Bamboo.Interp.Bytecode);
-                ("closure", Bamboo.Interp.Closure);
-              ]))
+              [ ("tree", Bamboo.Interp.Tree); ("closure", Bamboo.Interp.Closure) ]))
         None
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "interpreter engine for task bodies: $(b,closure) (direct-threaded closures, \
-           the default), $(b,bytecode) (dispatch-loop executor), or $(b,tree) (the \
-           tree-walking oracle) — all bit-identical on digests and cycle counts; also \
-           selectable via the BAMBOO_INTERP_ENGINE environment variable)")
+           the default) or $(b,tree) (the tree-walking oracle) — bit-identical on \
+           digests and cycle counts; also selectable via the BAMBOO_INTERP_ENGINE \
+           environment variable)")
 
-let interp_reference_arg =
-  Arg.(
-    value & flag
-    & info [ "interp-reference" ]
-        ~doc:
-          "deprecated alias for $(b,--engine tree) (also enabled by the \
-           BAMBOO_INTERP_REFERENCE environment variable)")
-
-(** Resolve the engine flags: an explicit [--engine] wins, the
-    deprecated [--interp-reference] maps to the tree walker, and
-    otherwise the environment-seeded default stands. *)
-let set_engine engine interp_reference =
-  match (engine, interp_reference) with
-  | Some e, _ -> Bamboo.Interp.engine := e
-  | None, true -> Bamboo.Interp.engine := Bamboo.Interp.Tree
-  | None, false -> ()
+(** An explicit [--engine] wins; otherwise the environment-seeded
+    default stands. *)
+let set_engine = Option.iter (fun e -> Bamboo.Interp.engine := e)
 
 let machine_of cores = Bamboo.Machine.with_cores Bamboo.Machine.tilepro64 cores
 
@@ -330,8 +304,8 @@ let cmd_taskflow =
     Term.(const run $ file_arg)
 
 let cmd_profile =
-  let run file args engine interp_reference =
-    set_engine engine interp_reference;
+  let run file args engine =
+    set_engine engine;
     let prog = load file in
     let prof, r = Bamboo.Profile.collect ~args prog in
     Printf.printf "single-core execution: %d cycles, %d invocations\n%s" r.r_total_cycles
@@ -340,10 +314,9 @@ let cmd_profile =
     Format.printf "%a@?" (fun fmt () -> Bamboo.Profile.pp fmt prog prof) ()
   in
   Cmd.v (Cmd.info "profile" ~doc:"run on one core and print the profile statistics")
-    Term.(const run $ file_arg $ args_arg $ engine_arg $ interp_reference_arg)
+    Term.(const run $ file_arg $ args_arg $ engine_arg)
 
-let synthesize file args cores seed jobs starts tempering sim_reference =
-  if sim_reference then Bamboo.Schedsim.use_reference := true;
+let synthesize file args cores seed jobs starts tempering =
   let prog = load file in
   let an = Bamboo.analyse prog in
   let prof = Bamboo.profile ~args prog in
@@ -351,11 +324,9 @@ let synthesize file args cores seed jobs starts tempering sim_reference =
   (prog, an, o)
 
 let cmd_synth =
-  let run file args cores seed jobs starts tempering sim_reference engine interp_reference =
-    set_engine engine interp_reference;
-    let prog, _, (o : Bamboo.Dsa.outcome) =
-      synthesize file args cores seed jobs starts tempering sim_reference
-    in
+  let run file args cores seed jobs starts tempering engine =
+    set_engine engine;
+    let prog, _, (o : Bamboo.Dsa.outcome) = synthesize file args cores seed jobs starts tempering in
     Printf.printf
       "estimated %d cycles; %d layouts evaluated (+%d cache hits, %d pruned) over %d \
        start(s) (%d restarts) in %.1f s (%.0f evals/s, %.3g events/s, jobs=%d)\n"
@@ -368,13 +339,12 @@ let cmd_synth =
   Cmd.v (Cmd.info "synth" ~doc:"synthesize an optimized layout (multi-start candidates + DSA)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg $ engine_arg $ interp_reference_arg)
+      $ tempering_arg $ engine_arg)
 
 let cmd_run =
-  let run file args cores seed jobs starts tempering sim_reference engine interp_reference
-      digest =
-    set_engine engine interp_reference;
-    let prog, an, o = synthesize file args cores seed jobs starts tempering sim_reference in
+  let run file args cores seed jobs starts tempering engine digest =
+    set_engine engine;
+    let prog, an, o = synthesize file args cores seed jobs starts tempering in
     let r = Bamboo.execute ~args prog an o.best in
     print_string r.r_output;
     Printf.printf "%d cycles on %d cores (%d invocations, %d messages, %d failed locks)\n"
@@ -394,20 +364,18 @@ let cmd_run =
   Cmd.v (Cmd.info "run" ~doc:"synthesize a layout and execute the program on it")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg $ engine_arg $ interp_reference_arg $ digest_arg)
+      $ tempering_arg $ engine_arg $ digest_arg)
 
 let cmd_exec =
-  let run file args cores domains seed jobs starts tempering layout_kind sim_reference
-      exec_reference engine interp_reference digest_only canon sanitize schedule =
-    if exec_reference then Bamboo.Exec.use_reference := true;
-    set_engine engine interp_reference;
+  let run file args cores domains seed jobs starts tempering layout_kind exec_reference
+      engine digest_only canon sanitize schedule =
+    set_engine engine;
     let prog = load file in
     let an = Bamboo.analyse prog in
     let layout =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          if sim_reference then Bamboo.Schedsim.use_reference := true;
           let prof = Bamboo.profile ~args prog in
           (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
             .best
@@ -415,7 +383,12 @@ let cmd_exec =
     let sanitize =
       if sanitize then Some (Bamboo.Effects.analyse prog an.astgs) else None
     in
-    let r = Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout in
+    let r =
+      match sanitize with
+      | None when exec_reference ->
+          Bamboo.Exec.reference_run ~args ~lock_groups:an.lock_groups prog layout
+      | _ -> Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout
+    in
     if digest_only then print_endline r.x_digest
     else if canon then
       print_endline (Bamboo.Canon.canonical prog ~output:r.x_output ~objects:r.x_objects)
@@ -452,9 +425,8 @@ let cmd_exec =
       value & flag
       & info [ "exec-reference" ]
           ~doc:
-            "route execution through the sequential deterministic runtime instead of the \
-             parallel backend (the equivalence oracle; also enabled by the \
-             BAMBOO_EXEC_REFERENCE environment variable)")
+            "run on the sequential deterministic runtime instead of the parallel backend \
+             (the equivalence oracle; ignored under $(b,--sanitize))")
   in
   let digest_only_arg =
     Arg.(
@@ -498,9 +470,8 @@ let cmd_exec =
           compare against $(b,bamboo run) with $(b,--exec-reference) or $(b,--digest-only))")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
-      $ starts_arg $ tempering_arg $ layout_arg $ sim_reference_arg $ exec_reference_arg
-      $ engine_arg $ interp_reference_arg $ digest_only_arg $ canon_arg $ sanitize_arg
-      $ schedule_arg)
+      $ starts_arg $ tempering_arg $ layout_arg $ exec_reference_arg $ engine_arg
+      $ digest_only_arg $ canon_arg $ sanitize_arg $ schedule_arg)
 
 (* A request class on the command line: NAME=ARG,ARG,... or
    NAME*WEIGHT=ARG,ARG,... (weight defaults to 1). *)
@@ -533,17 +504,15 @@ let class_conv =
   Arg.conv (parse, print)
 
 let cmd_serve =
-  let run file args cores domains seed jobs starts tempering layout_kind sim_reference
-      engine interp_reference schedule rate duration arrivals admission queue inflight
-      check classes =
-    set_engine engine interp_reference;
+  let run file args cores domains seed jobs starts tempering layout_kind engine schedule
+      rate duration arrivals admission queue inflight check classes =
+    set_engine engine;
     let prog = load file in
     let an = Bamboo.analyse prog in
     let layout =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          if sim_reference then Bamboo.Schedsim.use_reference := true;
           let prof = Bamboo.profile ~args prog in
           (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
             .best
@@ -691,13 +660,13 @@ let cmd_serve =
           report sustained throughput plus per-class p50/p95/p99 latency")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
-      $ starts_arg $ tempering_arg $ layout_arg $ sim_reference_arg $ engine_arg
-      $ interp_reference_arg $ schedule_arg $ rate_arg $ duration_arg $ arrivals_arg
-      $ admission_arg $ queue_arg $ inflight_arg $ check_arg $ classes_arg)
+      $ starts_arg $ tempering_arg $ layout_arg $ engine_arg $ schedule_arg $ rate_arg
+      $ duration_arg $ arrivals_arg $ admission_arg $ queue_arg $ inflight_arg $ check_arg
+      $ classes_arg)
 
 let cmd_trace =
-  let run file args cores seed jobs starts tempering sim_reference =
-    let prog, _, o = synthesize file args cores seed jobs starts tempering sim_reference in
+  let run file args cores seed jobs starts tempering =
+    let prog, _, o = synthesize file args cores seed jobs starts tempering in
     let prof = Bamboo.profile ~args prog in
     let sim = Bamboo.Schedsim.simulate prog prof o.best in
     let cp = Bamboo.Critpath.analyse sim in
@@ -707,7 +676,7 @@ let cmd_trace =
     (Cmd.info "trace" ~doc:"print the simulated execution trace and critical path (paper Fig. 6)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg)
+      $ tempering_arg)
 
 let cmd_dump =
   let run name seq =

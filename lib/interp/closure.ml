@@ -1,11 +1,11 @@
 (** The closure-compilation engine: direct-threaded OCaml closures
-    above the bytecode tier.
+    over the bytecode that {!Compile} produces.
 
-    {!Compile} still pays a dispatch loop — a bounds-checked fetch, a
-    match over ~90 constructors, and operand field loads — for every
-    instruction it executes.  This engine removes all three: each
-    bytecode instruction is translated, once per program, into one
-    OCaml closure whose operands (register indices, constants, resolved
+    Interpreting the flat instruction arrays directly would pay a
+    dispatch loop — a bounds-checked fetch, a match over ~90
+    constructors, and operand field loads — for every instruction.
+    This engine pays none of it: each bytecode instruction is
+    translated, once per program, into one OCaml closure whose operands (register indices, constants, resolved
     callee entries) are captured at codegen, and whose continuation —
     the closure for the next instruction — is captured directly.
     Executing a body is then a chain of one-argument tail calls over a
@@ -20,11 +20,10 @@
 
     The cycle/fuel/digest contract is inherited rather than re-proved:
     the input is the bytecode produced by {!Compile}, so the per-block
-    [Kcost] aggregates sit exactly where the dispatch loop would have
-    executed them, and each instruction closure performs the same
-    effects (same {!Cost} charges, same [notify_read]/[notify_write]
-    monitor hooks, same error messages, in the same order) as the
-    corresponding [Compile.exec] arm.  The [interp.equivalence] and
+    [Kcost] aggregates sit exactly at the basic-block boundaries, and
+    each instruction closure performs the effects of its IR node (same
+    {!Cost} charges, same [notify_read]/[notify_write] monitor hooks,
+    same error messages, in the same order) as the tree walker does.  The [interp.equivalence] and
     [interp.fuzz] suites check all of it against the tree-walking
     oracle. *)
 
@@ -51,8 +50,7 @@ let frame_for (b : body) (ctx : ctx) : cframe =
    pair once, so a call site performs no matching at run time; the
    residual closures are the same bank copies / [as_*] coercions as
    [Compile.set_arg].  An out-of-range slot (impossible for
-   type-checked programs) falls back to [Compile.set_arg] itself so
-   even the error behavior is the bytecode executor's. *)
+   type-checked programs) falls back to [Compile.set_arg] itself. *)
 
 let arg_setter (cb : body) (slot : int) (a : src) : cframe -> cframe -> unit =
   if slot >= Array.length cb.b_slots then fun f kf ->
@@ -91,10 +89,10 @@ let compile_invoke (cc : closure_code) (cid : Ir.class_id) (mid : Ir.method_id)
     en.ce_entry kf
 
 (* ------------------------------------------------------------------ *)
-(* Codegen: one backwards pass per body.  Every arm mirrors the
-   corresponding [Compile.exec] arm exactly — same effects, same
-   charges, same errors — with the dispatch replaced by a captured
-   continuation [k].
+(* Codegen: one backwards pass per body.  Every arm implements its
+   instruction's semantics ({!Bytecode}) exactly — same effects, same
+   charges, same errors as the tree walker — and passes control to a
+   captured continuation [k].
 
    On top of the per-instruction arms, a peephole fuses the hottest
    adjacent sequences into single closures (superinstructions):
@@ -1350,10 +1348,12 @@ let closurify (prog : Ir.program) (pcode : program_code) : closure_code =
   cc
 
 (* ------------------------------------------------------------------ *)
-(* Per-program cache, mirroring {!Compile.get}: codegen once, execute
-   on every context (one per core in the parallel backend).  The mutex
-   makes a first-codegen race between domains safe; see the
-   [interp.engines] compile-race regression test. *)
+(* Per-program cache: compile and codegen once, execute on every
+   context (one per core in the parallel backend).  Keyed on physical
+   equality; bounded so long test runs over many programs do not
+   accumulate code.  The mutex makes a first-codegen race between
+   domains safe; see the [interp.engines] compile-race regression
+   test. *)
 
 let cache_lock = Mutex.create ()
 let cache : (Ir.program * closure_code) list ref = ref []
@@ -1364,16 +1364,19 @@ let get (prog : Ir.program) : closure_code =
       match List.find_opt (fun (p, _) -> p == prog) !cache with
       | Some (_, cc) -> cc
       | None ->
-          let cc = closurify prog (Compile.get prog) in
+          let cc = closurify prog (Compile.compile_program prog) in
           let keep = List.filteri (fun i _ -> i < cache_limit - 1) !cache in
           cache := (prog, cc) :: keep;
           cc)
 
 (* ------------------------------------------------------------------ *)
-(* Task invocation: the closure-engine counterpart of
-   [Compile.invoke_task], with identical bookkeeping (created-object
-   drain, output slicing, implicit-exit mapping, and the
-   oracle-visible frame rebuilt from the slot map). *)
+(* Task invocation: the closure-engine counterpart of the tree
+   walker's, with identical bookkeeping (created-object drain, output
+   slicing, implicit-exit mapping).  The oracle-visible frame is
+   rebuilt from the slot map; [apply_exit] reads tag slots out of it.
+   (A never-assigned unboxed slot reads back as its bank default
+   rather than the oracle's [Vnull]; nothing observes non-tag
+   slots.) *)
 
 let invoke_task (ctx : ctx) (cc : closure_code) (task : Ir.taskinfo) (params : obj array)
     ~(tag_binds : (Ir.slot * tag_inst) list) : invocation_result =

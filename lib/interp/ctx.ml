@@ -1,7 +1,7 @@
 (** Shared execution context for the two interpreter engines.
 
-    Both the tree-walking oracle ({!Interp}) and the bytecode executor
-    ({!Compile}) run over this context: one cycle counter, one fuel
+    Both the tree-walking oracle ({!Interp}) and the closure engine
+    ({!Closure}) run over this context: one cycle counter, one fuel
     guard, one id allocator, one output buffer, and one set of
     operation-semantics helpers (RNG, allocation, string scans).
     Keeping every shared primitive here — and charging every cost
@@ -59,14 +59,13 @@ type ctx = {
                                         still charged identically *)
 }
 
-(** What a context executes with.  The three representations are the
-    three engines: no code (tree-walking oracle), bytecode (dispatch
-    loop in {!Compile}), or closure code (direct-threaded closures in
-    {!Closure}).  The closure types live here, next to [ctx], because
-    a closure frame carries its context. *)
+(** What a context executes with.  The two representations are the
+    two engines: no code (tree-walking oracle) or closure code
+    (direct-threaded closures in {!Closure}).  The closure types live
+    here, next to [ctx], because a closure frame carries its
+    context. *)
 and engine_code =
   | Etree
-  | Ebyte of Bytecode.program_code
   | Eclos of closure_code
 
 (** One closure-compiled [Ir.program]: every task body and every
@@ -129,7 +128,7 @@ let fuel_msg = "interpreter fuel exhausted"
 
 (** The single cost/fuel accounting point: [n] interpreter steps plus
     [cycles] cycles.  The tree-walker calls it once per IR node; the
-    bytecode executor once per [Kcost] block aggregate. *)
+    closure engine once per [Kcost] block aggregate. *)
 let tick ctx ~cycles ~steps =
   ctx.cycles <- ctx.cycles + cycles;
   let s = ctx.steps + steps in

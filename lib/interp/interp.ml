@@ -1,13 +1,13 @@
 (** IR interpreter with cycle accounting.
 
-    Three engines execute Bamboo task and method bodies over the
-    shared {!Ctx} context: the direct-threaded closure engine in
-    {!Closure} (the default), the bytecode executor in {!Compile}, and
-    the tree-walking oracle defined here — selected by [--engine
-    tree|bytecode|closure] / [BAMBOO_INTERP_ENGINE].  All charge the
-    {!Cost} model through the same tables and helpers, so their cycle
-    and fuel totals are bit-identical (the [interp.equivalence] suite
-    enforces it).  The runtime layers (profiling, single-core and
+    Two engines execute Bamboo task and method bodies over the shared
+    {!Ctx} context: the direct-threaded closure engine in {!Closure}
+    (the default, built from the {!Compile} bytecode) and the
+    tree-walking oracle defined here — selected by [--engine
+    tree|closure] / [BAMBOO_INTERP_ENGINE].  Both charge the {!Cost}
+    model through the same tables and helpers, so their cycle and fuel
+    totals are bit-identical (the [interp.equivalence] suite enforces
+    it).  The runtime layers (profiling, single-core and
     many-core execution) drive any engine through {!invoke_task},
     {!executor} and {!apply_exit}. *)
 
@@ -305,33 +305,26 @@ let invoke_task_tree ctx (task : Ir.taskinfo) (params : obj array)
 (* ------------------------------------------------------------------ *)
 (* Engine selection *)
 
-(** The three interpreter engines, slowest to fastest: the
-    tree-walking oracle above, the {!Compile} bytecode dispatch loop,
-    and the {!Closure} direct-threaded closure engine.  All three are
-    bit-identical on cycles, fuel, output and errors; the faster two
-    are verified against the tree walker by [interp.equivalence] and
-    [interp.fuzz]. *)
-type engine = Tree | Bytecode | Closure
+(** The two interpreter engines: the tree-walking oracle above and the
+    {!Closure} direct-threaded closure engine (which executes the
+    {!Compile} bytecode as closure chains).  They are bit-identical on
+    cycles, output and errors; the closure engine is verified against
+    the tree walker by [interp.equivalence] and [interp.fuzz]. *)
+type engine = Tree | Closure
 
-let engine_name = function
-  | Tree -> "tree"
-  | Bytecode -> "bytecode"
-  | Closure -> "closure"
+let engine_name = function Tree -> "tree" | Closure -> "closure"
 
 let engine_of_string s =
   match String.lowercase_ascii s with
-  | "tree" | "reference" -> Some Tree
-  | "bytecode" | "byte" -> Some Bytecode
+  | "tree" -> Some Tree
   | "closure" -> Some Closure
   | _ -> None
 
 let default_engine = Closure
 
 (** The engine every subsequently created context executes with.
-    Seeded from [BAMBOO_INTERP_ENGINE] (tree|bytecode|closure),
-    falling back to the deprecated [BAMBOO_INTERP_REFERENCE=1] alias
-    for the tree walker; overridable by [--engine] (and the deprecated
-    [--interp-reference]). *)
+    Seeded from [BAMBOO_INTERP_ENGINE] (tree|closure); overridable by
+    [--engine]. *)
 let engine =
   ref
     (match Sys.getenv_opt "BAMBOO_INTERP_ENGINE" with
@@ -341,29 +334,22 @@ let engine =
         | None ->
             Printf.eprintf "bamboo: ignoring unknown BAMBOO_INTERP_ENGINE=%S\n%!" s;
             default_engine)
-    | None -> (
-        match Sys.getenv_opt "BAMBOO_INTERP_REFERENCE" with
-        | Some ("1" | "true" | "yes") -> Tree
-        | Some _ | None -> default_engine))
+    | None -> default_engine)
 
 (** Compile [prog] for the selected engine without creating a context.
     The parallel backend calls this on the main domain before spawning
-    workers so no domain ever races the first compile (the caches in
-    {!Compile}/{!Closure} are mutex-guarded anyway; this keeps the
-    compile cost off the timed parallel section). *)
+    workers so no domain ever races the first compile (the cache in
+    {!Closure} is mutex-guarded anyway; this keeps the compile cost
+    off the timed parallel section). *)
 let precompile prog =
-  match !engine with
-  | Tree -> ()
-  | Bytecode -> ignore (Compile.get prog)
-  | Closure -> ignore (Closure.get prog)
+  match !engine with Tree -> () | Closure -> ignore (Closure.get prog)
 
 (** Build an interpreter context and attach the selected engine's
-    compiled code, shared via the per-program caches. *)
+    compiled code, shared via the per-program cache. *)
 let create ?bounds_check ?max_steps ?id_base ?id_stride prog =
   let ctx = create ?bounds_check ?max_steps ?id_base ?id_stride prog in
   (match !engine with
   | Tree -> ()
-  | Bytecode -> ctx.code <- Ebyte (Compile.get prog)
   | Closure -> ctx.code <- Eclos (Closure.get prog));
   ctx
 
@@ -376,7 +362,6 @@ let executor ctx :
     =
   match ctx.code with
   | Eclos cc -> fun task params ~tag_binds -> Closure.invoke_task ctx cc task params ~tag_binds
-  | Ebyte pcode -> fun task params ~tag_binds -> Compile.invoke_task ctx pcode task params ~tag_binds
   | Etree -> fun task params ~tag_binds -> invoke_task_tree ctx task params ~tag_binds
 
 (** Run one task invocation on the given parameter objects through
@@ -385,7 +370,6 @@ let invoke_task ctx (task : Ir.taskinfo) (params : obj array)
     ~(tag_binds : (Ir.slot * tag_inst) list) : invocation_result =
   match ctx.code with
   | Eclos cc -> Closure.invoke_task ctx cc task params ~tag_binds
-  | Ebyte pcode -> Compile.invoke_task ctx pcode task params ~tag_binds
   | Etree -> invoke_task_tree ctx task params ~tag_binds
 
 (** Apply a task exit's flag and tag actions to the parameter objects.

@@ -30,9 +30,10 @@
       recorded on whichever domain consumed the last unit of work,
       into that scheduler core's own {!Histogram} row — no shared
       recording state; rows merge at report time.
-    - {b Oracle}: under [sv_check] the stream runs closed-loop (window
-      1) and every request's output/heap delta is digest-checked
-      against the sequential runtime, putting the whole injection path
+    - {b Oracle}: under [sv_check] the stream runs closed-loop (the
+      next request is injected only once the previous one is checked)
+      and every request's output/heap delta is digest-checked against
+      the sequential runtime, putting the whole injection path
       on the same equivalence oracle as batch exec.
 
     Long-running sessions stay bounded: interpreter contexts run with
@@ -209,7 +210,7 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   in
   let n = Array.length schedule in
   let ncores = layout.Layout.machine.Machine.cores in
-  let window = if config.sv_check then 1 else max 1 config.sv_inflight in
+  let window = max 1 config.sv_inflight in
   let capacity = max 1 config.sv_queue in
   let retain = config.sv_check || config.sv_keep_output in
   (* Per-core-per-class histogram rows; row [ncores] belongs to the
@@ -281,6 +282,7 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   let q = Mailbox.Bounded.create ~capacity in
   let backlog = Queue.create () in
   let injected = ref 0 in
+  let last_injected = ref (-1) in      (* schedule id of the newest injection *)
   let drops = ref 0 in
   let class_drops = Array.make (max 1 nclasses) 0 in
   let watermark = ref 0 in
@@ -288,8 +290,7 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   let inflight () = !injected - Atomic.get completed in
   let occupancy () = Mailbox.Bounded.length q + Queue.length backlog in
   (* Advance over completed/shed requests in order; under sv_check the
-     in-order walk is also where each request's digest is verified
-     (window 1 makes the walk step at most one request per pump). *)
+     in-order walk is also where each request's digest is verified. *)
   let advance_watermark () =
     let w0 = !watermark in
     let continue = ref true in
@@ -304,13 +305,23 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
     done;
     if !watermark > w0 then Exec.advance_trim ses !watermark
   in
+  (* Under sv_check the stream is closed-loop: the next request goes
+     in only once every injected one is past the watermark, i.e.
+     digest-checked.  Gating on [inflight ()] instead would race: a
+     request completing between [advance_watermark] and the injection
+     reads as not in flight, so the next one would start before its
+     predecessor's delta was checked and both digests would mismatch. *)
+  let may_inject () =
+    if config.sv_check then !last_injected < !watermark else inflight () < window
+  in
   let pump () =
     advance_watermark ();
     if (not (Mailbox.Bounded.is_empty q)) && Queue.is_empty backlog then
       List.iter (fun a -> Queue.add a backlog) (Mailbox.Bounded.drain q);
-    while inflight () < window && not (Queue.is_empty backlog) do
+    while may_inject () && not (Queue.is_empty backlog) do
       let a = Queue.take backlog in
       incr injected;
+      last_injected := a.a_id;
       Exec.inject ses ~req:a.a_id classes.(a.a_class).rc_args
     done
   in

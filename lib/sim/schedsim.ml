@@ -32,11 +32,11 @@
       the bound, which lets DSA prune layouts that provably cannot
       beat the incumbent.
 
-    Results are bit-identical to {!Schedsim_reference} (the original
-    implementation, kept as the oracle); the equivalence suite diffs
-    the two event by event on every benchmark.  Set {!use_reference}
-    (CLI [--sim-reference], or the [BAMBOO_SIM_REFERENCE] environment
-    variable) to run the reference path instead. *)
+    Results are bit-identical to the original list/Hashtbl
+    implementation, kept verbatim as the oracle in the test tree
+    ([test/oracle/schedsim_reference.ml]); the [sim.equivalence] suite
+    diffs the two event by event on every benchmark, and [bench/main.exe
+    simbench] measures the speedup against it. *)
 
 module Cost = Bamboo_interp.Cost
 module Machine = Bamboo_machine.Machine
@@ -281,13 +281,26 @@ let dispatch st ~from_core ~producer (tk : token) now =
 (* ------------------------------------------------------------------ *)
 (* Markov model: exit choice, duration, allocations *)
 
-(** Count-matching exit choice (§4.4); see {!Schedsim_reference.choose_exit}
-    for the full rationale.  The group probability, member shares, and
-    per-task fallbacks are precomputed by {!Densify}; the per-task
-    invocation and rare-group counters are maintained incrementally,
-    so each call is O(1) when no rare exit is due and O(exits) when
-    one is — against the reference's O(exits) probability recompute
-    per call. *)
+(** Count-matching exit choice (§4.4): deterministically pick the
+    exit whose observed frequency lags the profile's prediction.
+
+    Exit phase matters more than long-run frequency for
+    round-structured programs: merge-style tasks take a rare
+    "round-boundary" exit exactly every k-th invocation (k = number
+    of producers in the round), and a simulator that fires that exit
+    early or late stalls — the round's remaining tokens are either
+    stranded or never produced.  We therefore treat all *rare* exits
+    (p <= 1/2) as one group with combined probability P: the group
+    fires exactly when [floor (P * (n+1))] exceeds the number of rare
+    exits taken so far — i.e. with period 1/P and the right phase —
+    and the member with the largest individual count deficit is
+    chosen.  Otherwise the most probable non-rare exit is taken.
+
+    The group probability, member shares, and per-task fallbacks are
+    precomputed by {!Densify}; the per-task invocation and rare-group
+    counters are maintained incrementally, so each call is O(1) when
+    no rare exit is due and O(exits) when one is — against the
+    reference's O(exits) probability recompute per call. *)
 let choose_exit st tid =
   let dt = st.d.Densify.d_tasks.(tid) in
   let exits = dt.Densify.dt_exits in
@@ -562,23 +575,10 @@ let simulate_prepared ?cycle_bound ?(max_invocations = 500_000) (d : prepared)
     s_sim_events = st.sim_events;
   }
 
-let simulate_reference = Schedsim_reference.simulate
-
-(** When set, {!simulate} runs the reference (list/Hashtbl) simulator
-    instead of the dense fast path — the [--sim-reference] escape
-    hatch.  Initialized from the [BAMBOO_SIM_REFERENCE] environment
-    variable ("" and "0" mean off). *)
-let use_reference =
-  ref
-    (match Sys.getenv_opt "BAMBOO_SIM_REFERENCE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
 (** Estimate the execution of [prog] under [layout] using [profile]'s
     Markov model.  One-shot convenience around {!prepare} +
     {!simulate_prepared}; callers scoring many layouts (the
     evaluation engine) should prepare once and reuse the tables. *)
 let simulate ?cycle_bound ?max_invocations (prog : Ir.program) (profile : Profile.t)
     (layout : Layout.t) : result =
-  if !use_reference then simulate_reference ?cycle_bound ?max_invocations prog profile layout
-  else simulate_prepared ?cycle_bound ?max_invocations (prepare prog profile) layout
+  simulate_prepared ?cycle_bound ?max_invocations (prepare prog profile) layout

@@ -117,12 +117,8 @@ let with_evaluator ?jobs ?pool ?shards ?max_invocations prog profile f =
    are deterministic, so they memoize like any result. *)
 let simulate_uncached t cycle_bound layout : cached * int =
   match
-    (if !Schedsim.use_reference then
-       Schedsim.simulate_reference ?cycle_bound ~max_invocations:t.max_invocations t.prog
-         t.profile layout
-     else
-       Schedsim.simulate_prepared ?cycle_bound ~max_invocations:t.max_invocations t.prepared
-         layout)
+    Schedsim.simulate_prepared ?cycle_bound ~max_invocations:t.max_invocations t.prepared
+      layout
   with
   | r -> (
       match r.Schedsim.s_status with

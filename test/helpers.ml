@@ -88,3 +88,22 @@ let expect_typecheck_error src =
   | _ -> Alcotest.fail "expected a frontend error"
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
+(** Run the [bamboo] CLI (built next to this test executable) with
+    [extra_env] added to the environment; returns (exit status,
+    stdout, stderr).  Outputs are expected to be small. *)
+let run_cli ?(extra_env = []) args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/bamboo_cli.exe"
+  in
+  let env = Array.append (Array.of_list extra_env) (Unix.environment ()) in
+  let out, inp, err = Unix.open_process_args_full exe (Array.of_list (exe :: args)) env in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  let code =
+    match Unix.close_process_full (out, inp, err) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (code, stdout, stderr)

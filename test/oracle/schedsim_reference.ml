@@ -3,10 +3,10 @@
     for {!Schedsim}'s dense fast path.
 
     The two implementations must produce bit-identical {!Sim_types.result}
-    values for the same inputs; the test suite diffs them event by
-    event on every benchmark.  Select this path at runtime with
-    [Schedsim.use_reference] (the [--sim-reference] CLI flag or the
-    [BAMBOO_SIM_REFERENCE] environment variable).
+    values for the same inputs; the [sim.equivalence] suite diffs
+    them event by event on every benchmark, and [bench/main.exe
+    simbench] times the fast path against this one.  It lives in the
+    test tree: nothing in the shipped library calls it.
 
     Per-event cost here is dominated by the [entry list ref] parameter
     sets ([@ [e]] appends, [List.filter] sweeps) and Hashtbl lookups
@@ -21,7 +21,7 @@ module Layout = Bamboo_machine.Layout
 module Profile = Bamboo_profile.Profile
 module Astg = Bamboo_analysis.Astg
 module Pqueue = Bamboo_support.Pqueue
-open Sim_types
+open Bamboo_sim.Sim_types
 
 type core = {
   cid : int;

@@ -239,13 +239,53 @@ let test_canon_insensitive () =
 let test_reference_escape_hatch () =
   let prog = Helpers.compile Helpers.counter_src in
   let layout = Exec.spread_layout prog Machine.single in
-  Exec.use_reference := true;
-  let r = Fun.protect ~finally:(fun () -> Exec.use_reference := false)
-      (fun () -> Exec.run ~args:[ "3" ] prog layout)
-  in
+  let r = Exec.reference_run ~args:[ "3" ] prog layout in
   Helpers.check_int "reference path marks x_domains = 0" 0 r.x_domains;
   let rp = Exec.run ~args:[ "3" ] ~domains:2 prog layout in
   Helpers.check_string "reference and parallel digests agree" r.x_digest rp.x_digest
+
+(** The oracles are called explicitly, and [BAMBOO_SIM_REFERENCE] /
+    [BAMBOO_EXEC_REFERENCE] switch nothing on process-wide.  In-process:
+    [Schedsim.simulate] stays on the dense path and [Exec.run] stays
+    parallel.  Through the CLI, where such a switch would have been
+    read at start-up: [bamboo exec] still runs on domains and prints
+    the oracle's digest, and only [--exec-reference] reaches the
+    sequential runtime. *)
+let test_removed_switches_inert () =
+  let vars = [ ("BAMBOO_SIM_REFERENCE", "1"); ("BAMBOO_EXEC_REFERENCE", "1") ] in
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") vars)
+    (fun () ->
+      let b = Registry.find "Fractal" in
+      let args = Helpers.small_args b.b_name in
+      let prog = Bamboo.compile b.b_source in
+      let prof = Bamboo.profile ~args prog in
+      let layout = Exec.spread_layout prog (Machine.with_cores Machine.tilepro64 4) in
+      let dense = Bamboo.Schedsim.simulate_prepared (Bamboo.Schedsim.prepare prog prof) layout in
+      let sim = Bamboo.Schedsim.simulate prog prof layout in
+      Helpers.check_int "simulate: cycles" dense.s_total_cycles sim.s_total_cycles;
+      Helpers.check_int "simulate: events" dense.s_sim_events sim.s_sim_events;
+      let r = Exec.run ~args ~domains:2 prog layout in
+      Helpers.check_bool "Exec.run stays parallel" true (r.x_domains > 0));
+  let exec extra =
+    Helpers.run_cli ~extra_env:(List.map (fun (k, v) -> k ^ "=" ^ v) vars)
+      ([ "exec"; "bench:KeywordCount"; "--cores"; "4"; "--domains"; "2" ] @ extra
+     @ [ "--"; "8" ])
+  in
+  let runs_on extra domains =
+    let code, out, _ = exec extra in
+    Helpers.check_int "exec exit status" 0 code;
+    Helpers.check_bool
+      (Printf.sprintf "%s ran on %d domains" (String.concat " " ("exec" :: extra)) domains)
+      true
+      (Str_find.contains out (Printf.sprintf " wall on %d domains " domains))
+  in
+  runs_on [] 2;
+  runs_on [ "--exec-reference" ] 0;
+  let _, parallel, _ = exec [ "--digest-only" ] in
+  let _, oracle, _ = exec [ "--exec-reference"; "--digest-only" ] in
+  Helpers.check_string "parallel digest = sequential oracle digest" oracle parallel
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic lockset sanitizer *)
@@ -415,6 +455,7 @@ let tests =
         Alcotest.test_case "ordered try-lock model" `Quick test_trylock_model;
         Alcotest.test_case "canonical digest" `Quick test_canon_insensitive;
         Alcotest.test_case "reference escape hatch" `Quick test_reference_escape_hatch;
+        Alcotest.test_case "removed switches inert" `Quick test_removed_switches_inert;
       ] );
     ( "exec.stress",
       [

@@ -1,16 +1,15 @@
-(** Equivalence suite for the three interpreter engines.
+(** Equivalence suite for the two interpreter engines.
 
-    The bytecode executor ({!Bamboo.Icompile}) and the closure engine
-    ({!Bamboo.Iclosure}) must both be observationally
+    The closure engine ({!Bamboo.Iclosure}) must be observationally
     indistinguishable from the tree-walking oracle selected by
     [Interp.engine := Tree]: same output, same canonical digest, same
     error messages, and — because the whole experimental apparatus is
     built on the cycle model — *bit-identical* cycle and fuel totals.
     The suite checks all seven benchmarks sequentially and at 2/4/8
     domains, every interpreter error path by message equality, the
-    Java fidelity of [Random.nextInt], a first-compile race across
-    domains, and a three-way differential fuzzer over randomly
-    generated well-typed bodies. *)
+    exact fuel-trip point against a golden table, the Java fidelity of
+    [Random.nextInt], a first-compile race across domains, and a
+    differential fuzzer over randomly generated well-typed bodies. *)
 
 module Interp = Bamboo.Interp
 module Canon = Bamboo.Canon
@@ -27,10 +26,7 @@ let with_engine e f =
   Fun.protect ~finally:(fun () -> Interp.engine := saved) f
 
 let with_reference f = with_engine Interp.Tree f
-
-(** The two compiled engines, each verified against the tree-walking
-    oracle. *)
-let compiled_engines = [ Interp.Bytecode; Interp.Closure ]
+let with_closure f = with_engine Interp.Closure f
 
 (* ------------------------------------------------------------------ *)
 (* Sequential equivalence: output, digest, and exact cycles *)
@@ -49,14 +45,11 @@ let test_seq_equivalence (b : Bench_def.t) () =
   let args = Helpers.small_args b.b_name in
   let prog = Bamboo.compile b.b_source in
   let tree = with_reference (fun () -> observe_seq prog args) in
-  List.iter
-    (fun e ->
-      let name what = Printf.sprintf "%s %s (%s)" b.b_name what (Interp.engine_name e) in
-      let got = with_engine e (fun () -> observe_seq prog args) in
-      Helpers.check_string (name "output") tree.o_out got.o_out;
-      Helpers.check_string (name "digest") tree.o_digest got.o_digest;
-      Helpers.check_int (name "exact cycles") tree.o_cycles got.o_cycles)
-    compiled_engines
+  let got = with_closure (fun () -> observe_seq prog args) in
+  let name what = Printf.sprintf "%s %s" b.b_name what in
+  Helpers.check_string (name "output") tree.o_out got.o_out;
+  Helpers.check_string (name "digest") tree.o_digest got.o_digest;
+  Helpers.check_int (name "exact cycles") tree.o_cycles got.o_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Parallel equivalence: digest (always) and exact charged cycles at
@@ -87,20 +80,13 @@ let test_par_equivalence (b : Bench_def.t) () =
       [ 2; 4; 8 ]
   in
   let tree = with_reference run in
-  List.iter
-    (fun e ->
-      let got = with_engine e run in
-      List.iter2
-        (fun (d, cdig, ccyc) (_, tdig, tcyc) ->
-          Helpers.check_string
-            (Printf.sprintf "%s digest @ %d domains (%s)" b.b_name d (Interp.engine_name e))
-            tdig cdig;
-          if cycles_schedule_invariant b.b_name then
-            Helpers.check_int
-              (Printf.sprintf "%s cycles @ %d domains (%s)" b.b_name d (Interp.engine_name e))
-              tcyc ccyc)
-        got tree)
-    compiled_engines
+  let got = with_closure run in
+  List.iter2
+    (fun (d, cdig, ccyc) (_, tdig, tcyc) ->
+      Helpers.check_string (Printf.sprintf "%s digest @ %d domains" b.b_name d) tdig cdig;
+      if cycles_schedule_invariant b.b_name then
+        Helpers.check_int (Printf.sprintf "%s cycles @ %d domains" b.b_name d) tcyc ccyc)
+    got tree
 
 let equivalence_cases =
   List.concat_map
@@ -133,11 +119,8 @@ let error_message ?classes body =
 
 let check_same_error name ?classes body =
   let tree = with_reference (fun () -> error_message ?classes body) in
-  List.iter
-    (fun e ->
-      let got = with_engine e (fun () -> error_message ?classes body) in
-      Helpers.check_string (name ^ " (" ^ Interp.engine_name e ^ ")") tree got)
-    compiled_engines
+  let got = with_closure (fun () -> error_message ?classes body) in
+  Helpers.check_string name tree got
 
 let test_error_messages () =
   check_same_error "div by zero" "int z = 0; int q = 1 / z;";
@@ -155,8 +138,8 @@ let test_error_messages () =
   check_same_error "negative array size" "int n = 0 - 3; int[] a = new int[n];";
   check_same_error "nextInt bad bound" "Random r = new Random(1); int n = r.nextInt(0);"
 
-(** Fuel exhaustion must trip with the identical message under all
-    engines (the compiled engines check fuel at block granularity, but
+(** Fuel exhaustion must trip with the identical message under both
+    engines (the closure engine checks fuel at block granularity, but
     the message and exception are shared). *)
 let test_fuel_exhaustion () =
   let prog = Bamboo.compile (wrap "int i = 0; while (true) { i = i + 1; }") in
@@ -169,27 +152,78 @@ let test_fuel_exhaustion () =
   in
   let tree = with_reference fuel_error in
   Helpers.check_string "exact message" "interpreter fuel exhausted" tree;
+  Helpers.check_string "fuel message (closure)" tree (with_closure fuel_error)
+
+(** The fuel boundary, pinned exactly.  The closure engine charges
+    fuel per basic block (one aggregate [Kcost] per block), so where a
+    tight budget trips — and the cycles and steps charged by then — is
+    a property of the compiled block structure that the tree walker
+    cannot cross-check (it trips mid-block).  This table was recorded
+    from the former bytecode executor, which shared that block
+    structure and was the closure engine's fuel-boundary oracle: each
+    benchmark's startup task at {!Helpers.small_args} under three
+    budgets below its full step count, as (budget, cycles, steps) at
+    the trip.  The closure engine must reproduce every row exactly. *)
+let fuel_golden =
+  [
+    ("Tracking", [ (37, 1409, 77); (101, 1735, 106); (149, 2189, 159) ]);
+    ("KMeans", [ (37, 173, 40); (101, 355, 104); (149, 527, 158) ]);
+    ("MonteCarlo", [ (37, 125, 41); (101, 399, 103); (149, 608, 151) ]);
+    ("FilterBank", [ (37, 137, 42); (101, 371, 105); (149, 531, 150) ]);
+    ("Fractal", [ (37, 118, 42); (101, 312, 109); (149, 419, 151) ]);
+    ("Series", [ (37, 104, 40); (101, 370, 108); (149, 543, 155) ]);
+    ("KeywordCount", [ (37, 291, 47); (101, 696, 104); (149, 1035, 151) ]);
+  ]
+
+(** One engine's observation of [prog]'s startup task run on a fresh
+    startup object under a [max_steps] budget, errors included: a
+    normal run ends in [Ok] (exit taken, output), a runtime error —
+    notably fuel exhaustion — in [Error msg].  Both carry the cycles
+    and steps charged by the end. *)
+let observe_fuel ?(args = []) prog ~max_steps =
+  let ctx = Interp.create ~max_steps prog in
+  let s = Interp.make_startup ctx args in
+  let startup =
+    List.find
+      (fun (t : Bamboo.Ir.taskinfo) ->
+        Array.length t.t_params = 1 && t.t_params.(0).p_class = prog.Bamboo.Ir.startup)
+      (Array.to_list prog.Bamboo.Ir.tasks)
+  in
+  match Interp.invoke_task ctx startup [| s |] ~tag_binds:[] with
+  | r -> Ok (r.Interp.tr_exit, r.Interp.tr_output, ctx.Interp.cycles, ctx.Interp.steps)
+  | exception Bamboo.Value.Runtime_error m -> Error (m, ctx.Interp.cycles, ctx.Interp.steps)
+
+let test_fuel_boundary_golden () =
+  Helpers.check_int "every benchmark has golden rows" (List.length Registry.all)
+    (List.length fuel_golden);
   List.iter
-    (fun e ->
-      let got = with_engine e fuel_error in
-      Helpers.check_string ("fuel message (" ^ Interp.engine_name e ^ ")") tree got)
-    compiled_engines
+    (fun (name, rows) ->
+      let b = Registry.find name in
+      let prog = Bamboo.compile b.Bench_def.b_source in
+      let args = Helpers.small_args name in
+      List.iter
+        (fun (budget, cycles, steps) ->
+          let label = Printf.sprintf "%s @ %d steps" name budget in
+          match with_closure (fun () -> observe_fuel ~args prog ~max_steps:budget) with
+          | Error (m, c, s) ->
+              Helpers.check_string (label ^ ": message") "interpreter fuel exhausted" m;
+              Helpers.check_int (label ^ ": cycles at trip") cycles c;
+              Helpers.check_int (label ^ ": steps at trip") steps s
+          | Ok _ -> Alcotest.failf "%s: expected fuel exhaustion" label)
+        rows)
+    fuel_golden
 
 (* ------------------------------------------------------------------ *)
 (* Engine plumbing *)
 
 let test_compile_cache () =
   let prog = Bamboo.compile Helpers.counter_src in
-  Helpers.check_bool "bytecode is cached per program" true
-    (Bamboo.Icompile.get prog == Bamboo.Icompile.get prog);
   Helpers.check_bool "closure code is cached per program" true
     (Bamboo.Iclosure.get prog == Bamboo.Iclosure.get prog);
   let carries e =
     let ctx = with_engine e (fun () -> Interp.create prog) in
     match (e, ctx.Interp.code) with
-    | Interp.Tree, Interp.Etree
-    | Interp.Bytecode, Interp.Ebyte _
-    | Interp.Closure, Interp.Eclos _ -> true
+    | Interp.Tree, Interp.Etree | Interp.Closure, Interp.Eclos _ -> true
     | _ -> false
   in
   List.iter
@@ -197,34 +231,28 @@ let test_compile_cache () =
       Helpers.check_bool
         ("contexts carry " ^ Interp.engine_name e ^ " code")
         true (carries e))
-    [ Interp.Tree; Interp.Bytecode; Interp.Closure ]
+    [ Interp.Tree; Interp.Closure ]
 
-(** Satellite regression: race the *first* compile of a fresh program
-    across domains, for both per-program code caches.  The caches are
-    mutex-guarded, so every domain must come back with the same
-    physically-shared compiled code (and nothing must crash).  Before
-    the guard existed this was a genuine data race on the cache
-    list. *)
+(** Regression: race the *first* compile of a fresh program across
+    domains.  The per-program code cache is mutex-guarded, so every
+    domain must come back with the same physically-shared compiled
+    code (and nothing must crash).  Before the guard existed this was
+    a genuine data race on the cache list. *)
 let test_compile_race () =
-  let race get =
-    let prog = Bamboo.compile Helpers.counter_src in
-    let barrier = Atomic.make 0 in
-    let workers =
-      Array.init 4 (fun _ ->
-          Domain.spawn (fun () ->
-              Atomic.incr barrier;
-              while Atomic.get barrier < 4 do
-                Domain.cpu_relax ()
-              done;
-              get prog))
-    in
-    let results = Array.map Domain.join workers in
-    Array.for_all (fun c -> c == results.(0)) results
+  let prog = Bamboo.compile Helpers.counter_src in
+  let barrier = Atomic.make 0 in
+  let workers =
+    Array.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr barrier;
+            while Atomic.get barrier < 4 do
+              Domain.cpu_relax ()
+            done;
+            Bamboo.Iclosure.get prog))
   in
-  Helpers.check_bool "bytecode first-compile race yields one shared code" true
-    (race Bamboo.Icompile.get);
+  let results = Array.map Domain.join workers in
   Helpers.check_bool "closure first-compile race yields one shared code" true
-    (race Bamboo.Iclosure.get)
+    (Array.for_all (fun c -> c == results.(0)) results)
 
 (* ------------------------------------------------------------------ *)
 (* Java fidelity of Random.nextInt (values computed from the
@@ -418,68 +446,48 @@ let gen_body seed =
   fz_add fz "System.printDouble(x + y);\n";
   Buffer.contents fz.buf
 
-(** One engine's observation of a run, errors included: a normal run
-    ends in [Ok], a runtime error (notably fuel exhaustion under a
-    tight [max_steps] budget) in [Error msg].  Cycles are included in
-    both cases — an erroring run must have charged exactly as much as
-    the oracle before stopping. *)
-let observe_fuel prog ~max_steps =
-  let ctx = Interp.create ~max_steps prog in
-  let s = Interp.make_startup ctx [] in
-  match Interp.invoke_task ctx prog.tasks.(0) [| s |] ~tag_binds:[] with
-  | r -> Ok (r.Interp.tr_exit, r.Interp.tr_output, ctx.Interp.cycles, ctx.Interp.steps)
-  | exception Bamboo.Value.Runtime_error m -> Error (m, ctx.Interp.cycles, ctx.Interp.steps)
-
 let fuzz_engines_agree =
-  QCheck.Test.make
-    ~name:"tree, bytecode and closure engines agree on random bodies" ~count:50
+  QCheck.Test.make ~name:"tree and closure agree on random bodies" ~count:50
     (QCheck.make ~print:gen_body QCheck.Gen.(0 -- 1_000_000))
     (fun seed ->
       let src = wrap (gen_body seed) in
       let prog = Bamboo.compile src in
       let tree = with_reference (fun () -> observe_seq prog []) in
-      List.iter
-        (fun e ->
-          let en = Interp.engine_name e in
-          let got = with_engine e (fun () -> observe_seq prog []) in
-          if got.o_out <> tree.o_out then
-            QCheck.Test.fail_reportf "%s output mismatch:\n%s\nvs\n%s" en got.o_out
-              tree.o_out;
-          if got.o_cycles <> tree.o_cycles then
-            QCheck.Test.fail_reportf "%s cycle mismatch: %d vs %d" en got.o_cycles
-              tree.o_cycles;
-          if got.o_digest <> tree.o_digest then
-            QCheck.Test.fail_reportf "%s digest mismatch" en)
-        compiled_engines;
+      let got = with_closure (fun () -> observe_seq prog []) in
+      if got.o_out <> tree.o_out then
+        QCheck.Test.fail_reportf "output mismatch:\n%s\nvs\n%s" got.o_out tree.o_out;
+      if got.o_cycles <> tree.o_cycles then
+        QCheck.Test.fail_reportf "cycle mismatch: %d vs %d" got.o_cycles tree.o_cycles;
+      if got.o_digest <> tree.o_digest then QCheck.Test.fail_reportf "digest mismatch";
       (* Fuel differential: run the same body under a budget tight
          enough that many generated bodies exhaust it.  Successful
-         runs must agree exactly three-way; erroring runs must agree
-         on the message three-way, and exactly (cycles and steps at
-         trip time included) between the two compiled tiers — the tree
-         walker trips mid-block, the compiled engines at the
-         block-aggregate [Kcost], so error-time counters are only
-         bit-identical within the compiled tier. *)
+         runs must agree exactly; erroring runs must agree on the
+         message.  Cycles and steps at trip time legitimately differ
+         — the tree walker trips mid-block, the closure engine at the
+         block-aggregate [Kcost] — and are pinned for the closure
+         engine by the golden table in [interp.engines]. *)
       let budget = 150 in
       let tree_fuel = with_reference (fun () -> observe_fuel prog ~max_steps:budget) in
-      let byte_fuel =
-        with_engine Interp.Bytecode (fun () -> observe_fuel prog ~max_steps:budget)
-      in
-      let clos_fuel =
-        with_engine Interp.Closure (fun () -> observe_fuel prog ~max_steps:budget)
-      in
-      (match (tree_fuel, byte_fuel, clos_fuel) with
-      | Ok t, Ok b, Ok c ->
-          if b <> t then QCheck.Test.fail_reportf "bytecode fuel-budget run mismatch";
-          if c <> t then QCheck.Test.fail_reportf "closure fuel-budget run mismatch"
-      | Error (mt, _, _), Error (mb, _, _), Error (mc, _, _) ->
-          if mb <> mt || mc <> mt then
-            QCheck.Test.fail_reportf "fuel error message mismatch: %S / %S / %S" mt mb mc
-      | _ ->
-          QCheck.Test.fail_reportf "fuel-budget success/error disagreement across engines");
-      if byte_fuel <> clos_fuel then
-        QCheck.Test.fail_reportf
-          "bytecode and closure disagree at the fuel boundary (cycles/steps at trip time)";
+      let clos_fuel = with_closure (fun () -> observe_fuel prog ~max_steps:budget) in
+      (match (tree_fuel, clos_fuel) with
+      | Ok t, Ok c -> if c <> t then QCheck.Test.fail_reportf "fuel-budget run mismatch"
+      | Error (mt, _, _), Error (mc, _, _) ->
+          if mc <> mt then QCheck.Test.fail_reportf "fuel error message mismatch: %S / %S" mt mc
+      | _ -> QCheck.Test.fail_reportf "fuel-budget success/error disagreement across engines");
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The retired bytecode engine is gone from the CLI *)
+
+let test_removed_engine_rejected () =
+  let code, _, err =
+    Helpers.run_cli
+      [ "run"; "bench:Fractal"; "--engine"; "bytecode"; "--"; "32"; "16"; "8"; "24" ]
+  in
+  (* 124: cmdliner's exit status for a command-line parse error *)
+  Helpers.check_int "--engine bytecode is a usage error" 124 code;
+  Helpers.check_bool "the error names the rejected value" true
+    (Str_find.contains err "bytecode")
 
 let tests =
   [
@@ -488,6 +496,8 @@ let tests =
       [
         Alcotest.test_case "error messages" `Quick test_error_messages;
         Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
+        Alcotest.test_case "fuel boundary golden" `Quick test_fuel_boundary_golden;
+        Alcotest.test_case "removed engine rejected" `Quick test_removed_engine_rejected;
         Alcotest.test_case "compile cache" `Quick test_compile_cache;
         Alcotest.test_case "compile race" `Quick test_compile_race;
         Alcotest.test_case "rng java fidelity" `Quick test_rng_java_fidelity;
