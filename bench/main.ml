@@ -417,8 +417,10 @@ let simbench () =
    backend (lib/exec) over 1/2/4/8 domains.  Every point is checked
    against the sequential runtime's canonical digest before its time
    is reported — a fast-but-wrong backend scores zero here.  Wall
-   times only mean speedup on a machine with that many cores; the
-   digest column is meaningful everywhere. *)
+   times ([x_wall_seconds]) run from the startup object's injection to
+   the drained join of the workers; spawning them is excluded.  They
+   only mean speedup on a machine with that many cores; the digest
+   column is meaningful everywhere. *)
 
 type execpoint = {
   xp_domains : int;
@@ -590,11 +592,6 @@ let stealbench_results : stealrow list Lazy.t =
          in
          let prog = Bamboo.compile b.b_source in
          let an = Bamboo.analyse prog in
-         (* Compute the BAM011 steal-safety contract once per program
-            instead of per run (Exec.run would re-derive it). *)
-         let eff = Bamboo.Effects.analyse prog an.astgs in
-         let contract = Bamboo.Effects.steal_contract eff ~lock_groups:an.lock_groups prog in
-         let steal_safe = contract.Bamboo.Effects.st_safe in
          let layout = Bamboo.Exec.spread_layout prog machine in
          let seq = Bamboo.Runtime.run ~args ~lock_groups:an.lock_groups prog layout in
          let expected =
@@ -606,8 +603,7 @@ let stealbench_results : stealrow list Lazy.t =
            for rep = 1 to reps do
              let r =
                Bamboo.Exec.run ~args ~domains ~seed:(domains + rep)
-                 ~max_invocations:50_000_000 ~lock_groups:an.lock_groups ~schedule
-                 ~steal_safe prog layout
+                 ~max_invocations:50_000_000 ~lock_groups:an.lock_groups ~schedule prog layout
              in
              if r.Bamboo.Exec.x_digest <> expected then ok := false;
              match !best with
@@ -636,6 +632,11 @@ let stealbench_results : stealrow list Lazy.t =
                  sp_core_stats = sl.x_core_stats;
                })
              exec_domain_counts
+         in
+         let steal_safe =
+           (Bamboo.Effects.steal_contract (Bamboo.Effects.analyse prog an.astgs)
+              ~lock_groups:an.lock_groups prog)
+             .Bamboo.Effects.st_safe
          in
          let safe_tasks = Array.fold_left (fun a s -> if s then a + 1 else a) 0 steal_safe in
          {

@@ -49,6 +49,18 @@ let load path =
       Printf.eprintf "%s:%d:%d: type error: %s\n" path pos.line pos.col msg;
       exit 1
 
+(* Exit statuses: 0 success; 1 a program error or a failed check
+   (runtime error in the Bamboo program, diagnostics, sanitizer
+   violation, digest mismatch); 124 a usage error; 125 an internal bug
+   (any other uncaught exception). *)
+let exits =
+  Cmd.Exit.info 1
+    ~doc:
+      "on a program error: the Bamboo program failed at run time (reported as \
+       $(b,bamboo: runtime error:) $(i,MSG) on stderr), a frontend error, error \
+       diagnostics, a sanitizer violation or a digest mismatch."
+  :: Cmd.Exit.defaults
+
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Bamboo source file or bench:<Name>")
 
@@ -226,7 +238,7 @@ let cmd_check =
     then exit 1
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits
        ~doc:
          "run the static verifier (dead tasks, stuck states, flag/tag hygiene, exit \
           reachability, lock-group audit, races, interference) and print diagnostics")
@@ -249,7 +261,7 @@ let cmd_analyze =
     if Bamboo.Diagnostic.has_errors ds then exit 1
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:
          "parse, type check, run the static analyses, and report diagnostics through the \
           verifier engine")
@@ -282,7 +294,7 @@ let cmd_astg =
       a.a_transitions
   in
   let cls_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"CLASS") in
-  Cmd.v (Cmd.info "astg" ~doc:"print the abstract state transition graph of a class")
+  Cmd.v (Cmd.info "astg" ~exits ~doc:"print the abstract state transition graph of a class")
     Term.(const run $ file_arg $ cls_arg)
 
 let cmd_cstg =
@@ -291,7 +303,7 @@ let cmd_cstg =
     let an = Bamboo.analyse prog in
     print_string (Bamboo.Dot.to_string (Bamboo.Cstg.to_dot an.cstg))
   in
-  Cmd.v (Cmd.info "cstg" ~doc:"emit the combined state transition graph as dot (paper Fig. 3)")
+  Cmd.v (Cmd.info "cstg" ~exits ~doc:"emit the combined state transition graph as dot (paper Fig. 3)")
     Term.(const run $ file_arg)
 
 let cmd_taskflow =
@@ -300,7 +312,7 @@ let cmd_taskflow =
     let an = Bamboo.analyse prog in
     print_string (Bamboo.Dot.to_string (Bamboo.Cstg.task_flow_dot an.cstg))
   in
-  Cmd.v (Cmd.info "taskflow" ~doc:"emit the task-flow graph as dot (paper Fig. 8)")
+  Cmd.v (Cmd.info "taskflow" ~exits ~doc:"emit the task-flow graph as dot (paper Fig. 8)")
     Term.(const run $ file_arg)
 
 let cmd_profile =
@@ -313,7 +325,7 @@ let cmd_profile =
       (if r.r_output = "" then "" else "output:\n" ^ r.r_output);
     Format.printf "%a@?" (fun fmt () -> Bamboo.Profile.pp fmt prog prof) ()
   in
-  Cmd.v (Cmd.info "profile" ~doc:"run on one core and print the profile statistics")
+  Cmd.v (Cmd.info "profile" ~exits ~doc:"run on one core and print the profile statistics")
     Term.(const run $ file_arg $ args_arg $ engine_arg)
 
 let synthesize file args cores seed jobs starts tempering =
@@ -336,7 +348,7 @@ let cmd_synth =
       jobs;
     print_string (Bamboo.Layout.to_string prog o.best)
   in
-  Cmd.v (Cmd.info "synth" ~doc:"synthesize an optimized layout (multi-start candidates + DSA)")
+  Cmd.v (Cmd.info "synth" ~exits ~doc:"synthesize an optimized layout (multi-start candidates + DSA)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
       $ tempering_arg $ engine_arg)
@@ -361,7 +373,7 @@ let cmd_run =
             "also print the canonical output digest (comparable with $(b,bamboo exec \
              --digest-only))")
   in
-  Cmd.v (Cmd.info "run" ~doc:"synthesize a layout and execute the program on it")
+  Cmd.v (Cmd.info "run" ~exits ~doc:"synthesize a layout and execute the program on it")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
       $ tempering_arg $ engine_arg $ digest_arg)
@@ -384,10 +396,9 @@ let cmd_exec =
       if sanitize then Some (Bamboo.Effects.analyse prog an.astgs) else None
     in
     let r =
-      match sanitize with
-      | None when exec_reference ->
-          Bamboo.Exec.reference_run ~args ~lock_groups:an.lock_groups prog layout
-      | _ -> Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout
+      if exec_reference then
+        Bamboo.Exec.reference_run ~args ~lock_groups:an.lock_groups prog layout
+      else Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout
     in
     if digest_only then print_endline r.x_digest
     else if canon then
@@ -410,6 +421,17 @@ let cmd_exec =
         exit 1
     | None, _ -> ())
   in
+  (* The sequential runtime has no sanitizer, so asking for both is a
+     usage error rather than a silently dropped flag. *)
+  let run file args cores domains seed jobs starts tempering layout_kind exec_reference
+      engine digest_only canon sanitize schedule =
+    if exec_reference && sanitize then
+      `Error (true, "--exec-reference cannot be combined with --sanitize")
+    else
+      `Ok
+        (run file args cores domains seed jobs starts tempering layout_kind exec_reference
+           engine digest_only canon sanitize schedule)
+  in
   let layout_arg =
     Arg.(
       value
@@ -426,7 +448,7 @@ let cmd_exec =
       & info [ "exec-reference" ]
           ~doc:
             "run on the sequential deterministic runtime instead of the parallel backend \
-             (the equivalence oracle; ignored under $(b,--sanitize))")
+             (the equivalence oracle; cannot be combined with $(b,--sanitize))")
   in
   let digest_only_arg =
     Arg.(
@@ -464,14 +486,15 @@ let cmd_exec =
              digests are identical in both modes)")
   in
   Cmd.v
-    (Cmd.info "exec"
+    (Cmd.info "exec" ~exits
        ~doc:
          "execute the program for real on OCaml 5 domains (true many-core execution; \
           compare against $(b,bamboo run) with $(b,--exec-reference) or $(b,--digest-only))")
     Term.(
-      const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
-      $ starts_arg $ tempering_arg $ layout_arg $ exec_reference_arg $ engine_arg
-      $ digest_only_arg $ canon_arg $ sanitize_arg $ schedule_arg)
+      ret
+        (const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
+       $ starts_arg $ tempering_arg $ layout_arg $ exec_reference_arg $ engine_arg
+       $ digest_only_arg $ canon_arg $ sanitize_arg $ schedule_arg))
 
 (* A request class on the command line: NAME=ARG,ARG,... or
    NAME*WEIGHT=ARG,ARG,... (weight defaults to 1). *)
@@ -654,7 +677,7 @@ let cmd_serve =
              the positional arguments)")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "serve a deterministic open-loop request stream on the parallel backend and \
           report sustained throughput plus per-class p50/p95/p99 latency")
@@ -673,7 +696,7 @@ let cmd_trace =
     print_string (Bamboo.Critpath.to_string prog sim cp)
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"print the simulated execution trace and critical path (paper Fig. 6)")
+    (Cmd.info "trace" ~exits ~doc:"print the simulated execution trace and critical path (paper Fig. 6)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
       $ tempering_arg)
@@ -685,14 +708,26 @@ let cmd_dump =
   in
   let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
   let seq_arg = Arg.(value & flag & info [ "seq" ] ~doc:"sequential version") in
-  Cmd.v (Cmd.info "dump-bench" ~doc:"print a built-in benchmark's Bamboo source")
+  Cmd.v (Cmd.info "dump-bench" ~exits ~doc:"print a built-in benchmark's Bamboo source")
     Term.(const run $ name_arg $ seq_arg)
 
+(* The one place an exception becomes an exit status (see [exits]):
+   a runtime error of the Bamboo program is the user's, anything else
+   escaping a subcommand is a bug here. *)
 let () =
   let doc = "data-centric, object-oriented many-core compiler (Bamboo, PLDI 2010)" in
-  let info = Cmd.info "bamboo" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "bamboo" ~version:"1.0.0" ~doc ~exits in
+  let cmd =
+    Cmd.group info
+      [ cmd_check; cmd_analyze; cmd_astg; cmd_cstg; cmd_taskflow; cmd_profile; cmd_synth;
+        cmd_run; cmd_exec; cmd_serve; cmd_trace; cmd_dump ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ cmd_check; cmd_analyze; cmd_astg; cmd_cstg; cmd_taskflow; cmd_profile; cmd_synth;
-            cmd_run; cmd_exec; cmd_serve; cmd_trace; cmd_dump ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Bamboo.Value.Runtime_error msg ->
+        Printf.eprintf "bamboo: runtime error: %s\n" msg;
+        1
+    | e ->
+        Printf.eprintf "bamboo: internal error, uncaught exception:\n%s\n%s"
+          (Printexc.to_string e) (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

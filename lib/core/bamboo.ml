@@ -110,38 +110,21 @@ let execute ?(args = []) ?max_invocations ?(record_trace = false) (prog : Ir.pro
 (** Execute the program for real on OCaml 5 domains — the parallel
     many-core backend (see {!Exec}); the sequential {!execute} is its
     equivalence oracle.  [schedule] picks the placement discipline
-    ([Exec.Static] or [Exec.Steal]); under [Steal] the BAM011
-    steal-safety contract is computed from the analysis results here
-    so {!Exec} does not re-run the effects pass. *)
-let execute_parallel ?(args = []) ?max_invocations ?domains ?seed ?sanitize
-    ?(schedule = Exec.Static) (prog : Ir.program) (an : analysis) (layout : Layout.t) :
-    Exec.result =
-  let steal_safe =
-    match schedule with
-    | Exec.Static -> None
-    | Exec.Steal ->
-        let eff = Effects.analyse prog an.astgs in
-        Some (Effects.steal_contract eff ~lock_groups:an.lock_groups prog).Effects.st_safe
-  in
-  Exec.run ~args ?max_invocations ?domains ?seed ?sanitize ~schedule ?steal_safe
+    ([Exec.Static] or [Exec.Steal]); under [Steal], {!Exec} derives the
+    BAM011 steal-safety contract from the analysis' lock groups. *)
+let execute_parallel ?(args = []) ?max_invocations ?domains ?seed ?sanitize ?schedule
+    (prog : Ir.program) (an : analysis) (layout : Layout.t) : Exec.result =
+  Exec.run ~args ?max_invocations ?domains ?seed ?sanitize ?schedule
     ~lock_groups:an.lock_groups prog layout
 
 (** Serve a deterministic open-loop request stream on the parallel
     backend (see {!Serve}): arrivals at [config.sv_rate] req/s for
     [config.sv_duration] seconds, per-class tail-latency histograms,
-    bounded-mailbox admission control.  Like {!execute_parallel}, the
-    BAM011 steal contract is computed here when the stream runs under
-    [Exec.Steal]. *)
+    bounded-mailbox admission control.  As for {!execute_parallel},
+    {!Exec} derives the steal contract under [Exec.Steal]. *)
 let serve ~(config : Serve.config) (prog : Ir.program) (an : analysis) (layout : Layout.t) :
     Serve.report =
-  let steal_safe =
-    match config.Serve.sv_schedule with
-    | Exec.Static -> None
-    | Exec.Steal ->
-        let eff = Effects.analyse prog an.astgs in
-        Some (Effects.steal_contract eff ~lock_groups:an.lock_groups prog).Effects.st_safe
-  in
-  Serve.run ~lock_groups:an.lock_groups ?steal_safe ~config prog layout
+  Serve.run ~lock_groups:an.lock_groups ~config prog layout
 
 (** Estimate the execution of a layout with the scheduling simulator. *)
 let estimate ?max_invocations (prog : Ir.program) (prof : Profile.t) (layout : Layout.t) : int

@@ -21,14 +21,15 @@
       transactional task semantics, no aborts, no hold-and-wait;
     - termination is detected by a global outstanding-work counter:
       every mailbox message and every assembled invocation is counted
-      {e before} the work that triggers it is released, and domains
-      quiesce exactly when the counter reaches zero;
+      {e before} the work that triggers it is released, and once the
+      session closes domains quiesce exactly when it reaches zero;
     - each domain carries its own PRNG stream split from the root
       seed, used to jitter the idle backoff (breaking retry symmetry
       between domains contending for the same locks).
 
     Object ids and tag ids are partitioned per core
-    ([id_base = cid], [id_stride = ncores]) so allocation never
+    ([id_base = cid], [id_stride = ncores + 1]; partition [ncores]
+    belongs to the session's injector) so allocation never
     contends.  Cost accounting is per-core ([Interp.ctx.cycles] plus
     the executed/retry/message counters) and merged at quiescence.
 
@@ -100,10 +101,10 @@ let dummy_entry = { x_obj = dummy_obj; x_gen = max_int; x_flags = 0; x_tags = []
 let entry_fresh (e : entry) = Atomic.get e.x_obj.o_gen = e.x_gen
 
 (** Snapshot [o]'s dispatch-relevant state.  Only sound while the
-    caller holds [o]'s lock (or before any domain has been spawned).
-    [req] tags the snapshot with the serve-mode request id ([-1] =
-    batch work). *)
-let snapshot ?(req = -1) (o : obj) =
+    caller holds [o]'s lock (or owns [o] outright, as the injector owns
+    a fresh startup object).  [req] tags the snapshot with the request
+    id ([-1] = untracked batch work). *)
+let snapshot ~req (o : obj) =
   { x_obj = o; x_gen = Atomic.get o.o_gen; x_flags = o.o_flags; x_tags = o.o_tags; x_req = req }
 
 (** Guard evaluation against the snapshot. *)
@@ -203,9 +204,8 @@ type state = {
   max_invocations : int;
   crashed : exn option Atomic.t;        (* first failure; all domains drain out *)
   draining : bool Atomic.t;
-  (* batch runs drain from the start (quiescence = termination); a
-     serve session keeps domains parked through transient quiescence
-     until the generator closes the stream *)
+  (* set by {!close_session}: until then domains stay parked through
+     transient quiescence, between requests or before the first *)
   trim_before : int Atomic.t;
   (* serve-mode watermark: every request id below it is complete or
      shed, so parked parameter-set entries tagged with one are dead
@@ -733,11 +733,10 @@ let record_crash st e =
 let domain_loop st (mycores : xcore array) (rng : Prng.t) ~chaos =
   let backoff = ref 0 in
   let next_thief = ref 0 in
-  (* Epoch draining, not one-shot quiescence: a serve session's
-     outstanding counter hits zero between requests, so domains park
-     in the backoff (instead of exiting) until the stream is closed —
-     only [draining && outstanding = 0] terminates.  Batch runs set
-     [draining] before the first spawn, restoring the old condition. *)
+  (* Epoch draining, not one-shot quiescence: the outstanding counter
+     is zero before the first injection and between requests, so
+     domains park in the backoff (instead of exiting) until the
+     session closes — only [draining && outstanding = 0] terminates. *)
   while
     (Atomic.get st.outstanding > 0 || not (Atomic.get st.draining))
     && Atomic.get st.crashed = None
@@ -800,7 +799,6 @@ type result = {
   x_output : string;                (* per-core outputs, core order *)
   x_objects : obj list;
   x_digest : string;                (* {!Canon.digest}: output + abstract heap state *)
-  x_per_core_invocations : int array;
   x_violations : string list;       (* sanitizer reports; [] when not sanitizing *)
   x_core_stats : core_stats array;  (* per-core utilization, core order *)
   x_idle_polls : int;               (* summed over cores *)
@@ -827,7 +825,6 @@ let reference_run ?args ?max_invocations ?lock_groups (prog : Ir.program) (layou
     x_output = r.r_output;
     x_objects = r.r_objects;
     x_digest = Canon.digest prog ~output:r.r_output ~objects:r.r_objects;
-    x_per_core_invocations = [||];
     x_violations = [];
     x_core_stats = [||];
     x_idle_polls = 0;
@@ -838,16 +835,44 @@ let reference_run ?args ?max_invocations ?lock_groups (prog : Ir.program) (layou
   }
 
 (* ------------------------------------------------------------------ *)
-(* Top-level run *)
+(* Sessions: the one execution lifecycle.
 
-(** Build the shared scheduler state: validated layout, per-core
-    schedulers, consumer tables, counters.  [serving] switches the
-    session shape — an extra (never-scheduled) injector core's worth
-    of id-space ([stride = ncores + 1]) and epoch draining instead of
-    quiescence-at-start.  Returns the state and the active core ids
-    (the cores hosting at least one consumer). *)
-let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~serving
-    (prog : Ir.program) (layout : Layout.t) =
+   Workers are spawned once and park in their idle backoff whenever the
+   outstanding counter is transiently zero; the caller's thread injects
+   startup objects while they run, and closing drains and joins them.
+   A batch {!run} is the one-request session.  The injector is a
+   pseudo-core: id [ncores], never scheduled, with its own interpreter
+   context (id partition [ncores] of stride [ncores + 1]; the scheduler
+   cores use partitions [0 .. ncores-1]) and its own round-robin
+   counters, so injection never races a worker.  {!Canon.digest}
+   abstracts ids away, so the stride cannot move a digest. *)
+
+type session = {
+  ses_st : state;
+  ses_injector : xcore;               (* caller's thread only *)
+  ses_contexts : Interp.ctx list;     (* injector's, then every core's *)
+  ses_workers : unit Domain.t array;
+  ses_sanitizer : Sanitize.t option;
+  ses_t0 : float;                     (* workers spawned *)
+}
+
+(** Validate [layout], build the scheduler state and spawn the workers,
+    leaving them idle for injections.  The domain count is clamped to
+    [1 .. min max_domains (active cores)], where a core is active if it
+    hosts a consumer; the CLI validates user input before it gets here.
+    [seed] feeds the per-domain jitter streams only — it cannot affect
+    the digest, just the schedule.  [chaos] is the probability of a
+    random delay before each core step (stress tests).  [sanitize]
+    installs the lockset sanitizer ({!Sanitize}) with the given static
+    effects; its reports land in [x_violations].  Under [Steal] the
+    BAM011 contract ({!Effects.steal_contract}) is derived here from
+    [lock_groups] — its only derivation.  [tracker] must be sized for
+    every request id that will be injected.  [retain] (default on)
+    keeps program output and the final-heap object lists; a
+    long-running stream turns it off. *)
+let start ?(max_invocations = max_int) ?lock_groups ?(domains = 4) ?(seed = 0) ?(chaos = 0.0)
+    ?sanitize ?(schedule = Static) ?tracker ?(retain = true) (prog : Ir.program)
+    (layout : Layout.t) : session =
   (match Layout.validate prog layout with
   | [] -> ()
   | problems -> invalid_arg ("Exec.run: invalid layout: " ^ String.concat "; " problems));
@@ -855,10 +880,9 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
     match lock_groups with Some g -> g | None -> Runtime.default_lock_groups prog
   in
   let steal_safe =
-    match (schedule, steal_safe) with
-    | Static, _ -> Array.make (Array.length prog.Ir.tasks) false
-    | Steal, Some s -> s
-    | Steal, None ->
+    match schedule with
+    | Static -> Array.make (Array.length prog.Ir.tasks) false
+    | Steal ->
         let eff = Effects.analyse prog (Astg.of_program prog) in
         (Effects.steal_contract eff ~lock_groups prog).Effects.st_safe
   in
@@ -869,8 +893,10 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
      be safe), but compiling up front keeps every worker's first
      invocation off the lock and out of the timed parallel section. *)
   Interp.precompile prog;
-  let stride = if serving then ncores + 1 else ncores in
-  let cores = Array.init ncores (make_xcore prog stride) in
+  let cores = Array.init ncores (make_xcore prog (ncores + 1)) in
+  let injector = make_xcore prog (ncores + 1) ncores in
+  let contexts = List.map (fun c -> c.ictx) (injector :: Array.to_list cores) in
+  List.iter (fun (ctx : Interp.ctx) -> ctx.Interp.retain <- retain) contexts;
   let consumer_table = build_consumer_table prog in
   let hosted =
     Array.init ncores (fun cid ->
@@ -901,7 +927,7 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
       total_invocations = Atomic.make 0;
       max_invocations;
       crashed = Atomic.make None;
-      draining = Atomic.make (not serving);
+      draining = Atomic.make false;
       trim_before = Atomic.make 0;
       tracker;
       schedule;
@@ -909,58 +935,9 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
       victims = active;
     }
   in
-  (st, active)
-
-let collect_core_stats (cores : xcore array) =
-  Array.map
-    (fun c ->
-      {
-        cs_core = c.cid;
-        cs_invocations = c.executed;
-        cs_stolen = c.stolen_run;
-        cs_busy_cycles = c.ictx.Interp.cycles;
-        cs_idle_polls = c.idle_polls;
-        cs_steal_attempts = c.steal_attempts;
-        cs_steals = c.steal_hits;
-        cs_steal_aborts = c.steal_aborts;
-      })
-    cores
-
-(** The cores domain [d] of [ndomains] owns: every active core
-    congruent to [d]. *)
-let cores_of_domain st (active : int array) ndomains d =
-  Array.of_list
-    (List.filter_map
-       (fun i -> if i mod ndomains = d then Some st.cores.(active.(i)) else None)
-       (List.init (Array.length active) Fun.id))
-
-(** Execute [prog] under [layout] on [domains] OCaml domains.  The
-    domain count is clamped to [1 .. min max_domains (active cores)];
-    the CLI validates user input before it gets here.  [seed] feeds
-    the per-domain jitter streams only — it cannot affect the digest,
-    just the schedule.  [chaos] (default 0) is the probability of an
-    injected random delay before each core step, used by the
-    randomized-schedule stress tests.  [sanitize] installs the dynamic
-    lockset sanitizer ({!Sanitize}) with the given static effect
-    results; its reports land in [x_violations].
-
-    [schedule] selects the placement discipline ([Static] default;
-    [Steal] lets idle domains steal steal-safe invocations, see
-    {!schedule}).  [steal_safe] optionally supplies the BAM011
-    contract ({!Effects.steal_contract}[.st_safe]) — when absent under
-    [Steal] it is computed here from a fresh effects analysis. *)
-let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?(domains = 4) ?(seed = 0)
-    ?(chaos = 0.0) ?sanitize ?(schedule = Static) ?steal_safe (prog : Ir.program)
-    (layout : Layout.t) : result =
-  let st, active =
-    build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ~serving:false prog
-      layout
-  in
-  let cores = st.cores in
   let sanitizer =
-    match sanitize with
-    | None -> None
-    | Some eff ->
+    Option.map
+      (fun eff ->
         let sn = Sanitize.create prog eff in
         Array.iter
           (fun core ->
@@ -968,108 +945,40 @@ let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?(domains = 4) 
             core.san <- Some ses;
             core.ictx.Interp.monitor <- Some (Sanitize.monitor ses))
           cores;
-        Some sn
+        sn)
+      sanitize
   in
-  let ndomains = max 1 (min (min domains max_domains) (max 1 (Array.length active))) in
-  let t0 = Clock.now () in
-  (* Boot: create the startup object on core 0's context and
-     dispatch it before any domain exists (no lock needed). *)
-  let startup = Interp.make_startup cores.(0).ictx args in
-  dispatch st cores.(0) (snapshot startup);
-  let root = Prng.create ~seed in
-  let streams = Array.init ndomains (fun _ -> Prng.split root) in
-  let workers =
-    Array.init (ndomains - 1) (fun i ->
-        let d = i + 1 in
-        Domain.spawn (fun () ->
-            try domain_loop st (cores_of_domain st active ndomains d) streams.(d) ~chaos
-            with e -> record_crash st e))
-  in
-  (try domain_loop st (cores_of_domain st active ndomains 0) streams.(0) ~chaos
-   with e -> record_crash st e);
-  Array.iter Domain.join workers;
-  (match Atomic.get st.crashed with Some e -> raise e | None -> ());
-  let wall = Clock.elapsed t0 in
-  let output =
-    String.concat "" (Array.to_list (Array.map (fun c -> Interp.output c.ictx) cores))
-  in
-  let objects = List.concat_map (fun c -> Interp.final_objects c.ictx) (Array.to_list cores) in
-  let core_stats = collect_core_stats cores in
-  let sum f = Array.fold_left (fun a c -> a + f c) 0 cores in
-  {
-    x_wall_seconds = wall;
-    x_cycles = sum (fun c -> c.ictx.Interp.cycles);
-    x_invocations = sum (fun c -> c.executed);
-    x_lock_retries = sum (fun c -> c.retries);
-    x_messages = sum (fun c -> c.sent);
-    x_domains = ndomains;
-    x_output = output;
-    x_objects = objects;
-    x_digest = Canon.digest prog ~output ~objects;
-    x_per_core_invocations = Array.map (fun c -> c.executed) cores;
-    x_violations =
-      (match sanitizer with Some sn -> Sanitize.violations sn | None -> []);
-    x_core_stats = core_stats;
-    x_idle_polls = sum (fun c -> c.idle_polls);
-    x_steal_attempts = sum (fun c -> c.steal_attempts);
-    x_steals = sum (fun c -> c.steal_hits);
-    x_steal_aborts = sum (fun c -> c.steal_aborts);
-    x_stolen_invocations = sum (fun c -> c.stolen_run);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Streaming sessions: the serve runtime's injection surface.
-
-   A session is the parallel backend kept alive between requests:
-   workers are spawned once and park in their idle backoff whenever
-   the outstanding counter is transiently zero, and the caller's
-   thread (the load generator) injects startup objects while they run.
-   Injection is made race-free by giving the injector its own
-   pseudo-core: core id [ncores], never scheduled by any domain, with
-   its own interpreter context (id partition [ncores] of stride
-   [ncores + 1] — the scheduler cores use partitions [0 .. ncores-1]
-   of the same stride) and its own round-robin routing counters.  The
-   canonical digest ({!Canon.digest}) abstracts object/tag ids away,
-   so the different stride cannot move a program's digest. *)
-
-type session = {
-  ses_st : state;
-  ses_injector : xcore;               (* pseudo-core, caller's thread only *)
-  ses_workers : unit Domain.t array;
-  ses_domains : int;
-}
-
-(** Spawn the backend and leave it idling for injections.  All
-    [ndomains] workers are real spawned domains — the caller's thread
-    stays free to generate load.  [tracker] receives per-request
-    completion callbacks; it must be sized for every request id that
-    will ever be injected. *)
-let open_session ?(max_invocations = max_int) ?lock_groups ?(domains = 4) ?(seed = 0)
-    ?(schedule = Static) ?steal_safe ~(tracker : tracker) (prog : Ir.program)
-    (layout : Layout.t) : session =
-  let st, active =
-    build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ~tracker ~serving:true
-      prog layout
-  in
-  let ncores = Array.length st.cores in
-  let injector = make_xcore prog (ncores + 1) ncores in
   let ndomains = max 1 (min (min domains max_domains) (max 1 (Array.length active))) in
   let root = Prng.create ~seed in
   let streams = Array.init ndomains (fun _ -> Prng.split root) in
   let workers =
     Array.init ndomains (fun d ->
+        (* domain [d] owns every active core congruent to it *)
+        let mine = List.filteri (fun i _ -> i mod ndomains = d) (Array.to_list active) in
+        let mycores = Array.of_list (List.map (fun cid -> cores.(cid)) mine) in
         Domain.spawn (fun () ->
-            try domain_loop st (cores_of_domain st active ndomains d) streams.(d) ~chaos:0.0
-            with e -> record_crash st e))
+            try domain_loop st mycores streams.(d) ~chaos with e -> record_crash st e))
   in
-  { ses_st = st; ses_injector = injector; ses_workers = workers; ses_domains = ndomains }
+  {
+    ses_st = st;
+    ses_injector = injector;
+    ses_contexts = contexts;
+    ses_workers = workers;
+    ses_sanitizer = sanitizer;
+    ses_t0 = Clock.now ();
+  }
 
-(** Inject one request: boot a startup object tagged [req] into the
-    running backend.  Caller's thread only.  A guard increment keeps
-    the request's tracker counter above zero across the dispatch
-    fan-out, so [tk_done] cannot fire while the injection is still in
-    progress (and fires from here if the startup object satisfies no
-    consumer at all). *)
+(** {!start} for request streams: no chaos, no sanitizer. *)
+let open_session ?max_invocations ?lock_groups ?domains ?seed ?schedule ?tracker ?retain
+    (prog : Ir.program) (layout : Layout.t) : session =
+  start ?max_invocations ?lock_groups ?domains ?seed ?schedule ?tracker ?retain prog layout
+
+(** Inject one request: boot a startup object tagged [req] ([-1]: a
+    batch run's untracked one) into the running backend.  Caller's
+    thread only.  A guard increment keeps the request's tracker counter
+    above zero across the dispatch fan-out, so [tk_done] cannot fire
+    while the injection is still in progress (and fires from here if
+    the startup object satisfies no consumer at all). *)
 let inject (ses : session) ~req (args : string list) =
   let st = ses.ses_st in
   count_up st req;
@@ -1088,13 +997,80 @@ let advance_trim (ses : session) before =
   if before > Atomic.get ses.ses_st.trim_before then
     Atomic.set ses.ses_st.trim_before before
 
+let contents (ses : session) =
+  ( String.concat "" (List.map Interp.output ses.ses_contexts),
+    List.concat_map Interp.final_objects ses.ses_contexts )
+
+(** Digest the output and heap produced since the previous call (or
+    the start), then clear them for the next request's delta.  Only
+    sound with no request in flight: the last one's final count_down
+    happened-before the caller saw it complete, and workers touch the
+    contexts again only after a later injection's mailbox push. *)
+let digest_and_reset (ses : session) =
+  let output, objects = contents ses in
+  List.iter
+    (fun (ctx : Interp.ctx) ->
+      ctx.Interp.objects <- [];
+      Buffer.clear ctx.Interp.out)
+    ses.ses_contexts;
+  Canon.digest ses.ses_st.prog ~output ~objects
+
 (** Close the stream: workers drain every remaining obligation, then
     exit; the first worker crash (if any) is re-raised here.  The
-    caller must have stopped injecting. *)
-let close_session (ses : session) =
-  Atomic.set ses.ses_st.draining true;
+    caller must have stopped injecting.  Wall time runs from the spawn
+    to the drained join; counters are the scheduler cores' (the
+    injector runs nothing, and boot sends are not core-to-core). *)
+let close_session (ses : session) : result =
+  let st = ses.ses_st in
+  Atomic.set st.draining true;
   Array.iter Domain.join ses.ses_workers;
-  match Atomic.get ses.ses_st.crashed with Some e -> raise e | None -> ()
+  (match Atomic.get st.crashed with Some e -> raise e | None -> ());
+  let wall = Clock.elapsed ses.ses_t0 in
+  let output, objects = contents ses in
+  let cores = st.cores in
+  let sum f = Array.fold_left (fun a c -> a + f c) 0 cores in
+  {
+    x_wall_seconds = wall;
+    x_cycles = sum (fun c -> c.ictx.Interp.cycles);
+    x_invocations = sum (fun c -> c.executed);
+    x_lock_retries = sum (fun c -> c.retries);
+    x_messages = sum (fun c -> c.sent);
+    x_domains = Array.length ses.ses_workers;
+    x_output = output;
+    x_objects = objects;
+    x_digest = Canon.digest st.prog ~output ~objects;
+    x_violations = (match ses.ses_sanitizer with Some sn -> Sanitize.violations sn | None -> []);
+    x_core_stats =
+      Array.map
+        (fun c ->
+          {
+            cs_core = c.cid;
+            cs_invocations = c.executed;
+            cs_stolen = c.stolen_run;
+            cs_busy_cycles = c.ictx.Interp.cycles;
+            cs_idle_polls = c.idle_polls;
+            cs_steal_attempts = c.steal_attempts;
+            cs_steals = c.steal_hits;
+            cs_steal_aborts = c.steal_aborts;
+          })
+        cores;
+    x_idle_polls = sum (fun c -> c.idle_polls);
+    x_steal_attempts = sum (fun c -> c.steal_attempts);
+    x_steals = sum (fun c -> c.steal_hits);
+    x_steal_aborts = sum (fun c -> c.steal_aborts);
+    x_stolen_invocations = sum (fun c -> c.stolen_run);
+  }
+
+(** Execute [prog] under [layout] on [domains] OCaml domains and return
+    at quiescence: the one-request session (parameters as {!start}).
+    More than [max_invocations] invocations raise {!Exec_stuck}. *)
+let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?domains ?seed ?chaos ?sanitize
+    ?schedule (prog : Ir.program) (layout : Layout.t) : result =
+  let ses =
+    start ~max_invocations ?lock_groups ?domains ?seed ?chaos ?sanitize ?schedule prog layout
+  in
+  inject ses ~req:(-1) args;
+  close_session ses
 
 (* ------------------------------------------------------------------ *)
 (* Layout helpers *)

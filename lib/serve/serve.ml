@@ -36,13 +36,12 @@
       the sequential runtime, putting the whole injection path
       on the same equivalence oracle as batch exec.
 
-    Long-running sessions stay bounded: interpreter contexts run with
+    Long-running sessions stay bounded: the session is opened with
     retention off (no output buffers or final-heap lists grow), and
     the completion watermark advances the backend's trim watermark so
     parked parameter-set residue from finished requests is purged. *)
 
 module Ir = Bamboo_ir.Ir
-module Interp = Bamboo_interp.Interp
 module Machine = Bamboo_machine.Machine
 module Layout = Bamboo_machine.Layout
 module Runtime = Bamboo_runtime.Runtime
@@ -200,8 +199,7 @@ type report = {
 (* ------------------------------------------------------------------ *)
 (* The serve loop *)
 
-let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout : Layout.t) :
-    report =
+let run ?lock_groups ~(config : config) (prog : Ir.program) (layout : Layout.t) : report =
   let classes = Array.of_list config.sv_classes in
   let nclasses = Array.length classes in
   let schedule =
@@ -212,7 +210,6 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   let ncores = layout.Layout.machine.Machine.cores in
   let window = max 1 config.sv_inflight in
   let capacity = max 1 config.sv_queue in
-  let retain = config.sv_check || config.sv_keep_output in
   (* Per-core-per-class histogram rows; row [ncores] belongs to the
      injector (a request whose startup object satisfies no consumer
      completes during injection itself).  Each row is written by
@@ -236,24 +233,16 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
     }
   in
   let ses =
-    Exec.open_session ~max_invocations:max_int ?lock_groups ~domains:config.sv_domains
-      ~seed:config.sv_seed ~schedule:config.sv_schedule ?steal_safe ~tracker prog layout
+    Exec.open_session ?lock_groups ~domains:config.sv_domains ~seed:config.sv_seed
+      ~schedule:config.sv_schedule ~tracker
+      ~retain:(config.sv_check || config.sv_keep_output) prog layout
   in
-  let st = ses.Exec.ses_st in
-  let injector = ses.Exec.ses_injector in
-  let cores = st.Exec.cores in
-  let all_ctxs =
-    injector.Exec.ictx :: Array.to_list (Array.map (fun c -> c.Exec.ictx) cores)
-  in
-  if not retain then List.iter (fun (ctx : Interp.ctx) -> ctx.Interp.retain <- false) all_ctxs;
   (* Sequential-oracle digests, one per class (requests of a class are
      identical closed systems, so one reference run covers them). *)
   let oracle = Array.make (max 1 nclasses) None in
   let mismatches = ref 0 in
   let check_request req =
-    let output = String.concat "" (List.map Interp.output all_ctxs) in
-    let objects = List.concat_map Interp.final_objects all_ctxs in
-    let got = Canon.digest prog ~output ~objects in
+    let got = Exec.digest_and_reset ses in
     let cls = schedule.(req).a_class in
     let expect =
       match oracle.(cls) with
@@ -264,16 +253,7 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
           oracle.(cls) <- Some d;
           d
     in
-    if got <> expect then incr mismatches;
-    (* Reset the contexts for the next request's delta.  Safe: the
-       request is complete (its last count_down happened-before our
-       read of [completed]), and workers touch these contexts again
-       only after a subsequent injection's mailbox push. *)
-    List.iter
-      (fun (ctx : Interp.ctx) ->
-        ctx.Interp.objects <- [];
-        Buffer.clear ctx.Interp.out)
-      all_ctxs
+    if got <> expect then incr mismatches
   in
   (* Admission waiting room: the bounded mailbox is the transport (and
      enforces its capacity as a backstop); admission checks combined
@@ -372,7 +352,7 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   done;
   advance_watermark ();
   let wall = Int64.to_float (Clock.elapsed_ns t0_ns) *. 1e-9 in
-  Exec.close_session ses;
+  let x = Exec.close_session ses in
   (* Workers are joined: every counter and histogram row is now
      plainly visible. *)
   let served = Atomic.get completed in
@@ -403,9 +383,6 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
            })
          (List.to_seq config.sv_classes))
   in
-  let output =
-    if config.sv_keep_output then String.concat "" (List.map Interp.output all_ctxs) else ""
-  in
   {
     rp_scheduled = n;
     rp_served = served;
@@ -416,8 +393,8 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
     rp_wall = wall;
     rp_stall_seconds = Int64.to_float !stall_ns *. 1e-9;
     rp_schedule_digest = schedule_digest schedule;
-    rp_invocations = Array.fold_left (fun a (c : Exec.xcore) -> a + c.Exec.executed) 0 cores;
-    rp_core_stats = Exec.collect_core_stats cores;
+    rp_invocations = x.x_invocations;
+    rp_core_stats = x.x_core_stats;
     rp_classes = class_reports;
-    rp_output = output;
+    rp_output = (if config.sv_keep_output then x.x_output else "");
   }

@@ -155,23 +155,19 @@ let test_stress_chaos () =
 
 (** The same 500-seed chaos stress under steal placement: the jitter
     idles cores at random moments, so steal timing varies per seed —
-    every schedule must still land on the sequential digest.  The
-    contract is precomputed once; 500 effect analyses would dominate
-    the test. *)
+    every schedule must still land on the sequential digest.  Each
+    run derives the BAM011 contract itself (a fraction of a
+    millisecond on this program). *)
 let test_steal_stress_chaos () =
   let prog = Helpers.compile Helpers.counter_src in
   let args = [ "6" ] in
   let machine = Machine.with_cores Machine.tilepro64 4 in
   let layout = Exec.spread_layout prog machine in
-  let an = Bamboo.analyse prog in
-  let lock_groups = an.lock_groups in
-  let eff = Effects.analyse prog an.astgs in
-  let steal_safe = (Effects.steal_contract eff ~lock_groups prog).Effects.st_safe in
+  let lock_groups = (Bamboo.analyse prog).lock_groups in
   let expected = reference_digest prog layout ~args ~lock_groups in
   for seed = 1 to 500 do
     let r =
-      Exec.run ~args ~domains:4 ~seed ~chaos:0.3 ~schedule:Exec.Steal ~steal_safe
-        ~lock_groups prog layout
+      Exec.run ~args ~domains:4 ~seed ~chaos:0.3 ~schedule:Exec.Steal ~lock_groups prog layout
     in
     if not (String.equal r.x_digest expected) then
       Alcotest.failf "steal digest diverged at seed %d" seed
@@ -433,6 +429,144 @@ let test_sanitize_transparent () =
   Helpers.check_int "same cycles" plain.x_cycles san.x_cycles;
   Helpers.check_int "no violations" 0 (List.length san.x_violations)
 
+(* ------------------------------------------------------------------ *)
+(* Failure propagation *)
+
+(* Every [bad] invocation indexes past a two-element array with the same
+   out-of-range index, so the first failure's message does not depend
+   on which invocation fails first. *)
+let failing_src =
+  {|
+  class It {
+    flag go;
+    int v;
+    It(int v) { this.v = v; }
+  }
+  task startup(StartupObject s in initialstate) {
+    int n = Integer.parseInt(s.args[0]);
+    for (int i = 0; i < 4; i = i + 1) {
+      It it = new It(n){go := true};
+    }
+    taskexit(s: initialstate := false);
+  }
+  task bad(It it in go) {
+    int[] a = new int[2];
+    a[it.v] = 1;
+    taskexit(it: go := false);
+  }
+  |}
+
+(** [f ()]'s outcome, run on its own domain; fails the test (leaving
+    that domain behind) if there is none within [seconds], so a lost
+    failure shows up as a failing test rather than a hung suite. *)
+let within seconds f =
+  let outcome = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set outcome (Some (try Ok (f ()) with e -> Error e))) in
+  let t0 = Bamboo.Clock.now () in
+  let rec wait () =
+    match Atomic.get outcome with
+    | Some r ->
+        Domain.join d;
+        r
+    | None ->
+        if Bamboo.Clock.elapsed t0 > seconds then
+          Alcotest.failf "no outcome within %.0f s" seconds;
+        Unix.sleepf 0.001;
+        wait ()
+  in
+  wait ()
+
+let runtime_error_of what = function
+  | Error (Bamboo.Value.Runtime_error msg) -> msg
+  | Error e -> Alcotest.failf "%s raised %s, not a runtime error" what (Printexc.to_string e)
+  | Ok _ -> Alcotest.failf "%s returned normally" what
+
+(** A task body that fails at run time fails the whole batch run, on
+    every domain count and schedule, with the sequential runtime's
+    message — the crashing domain records the error, the others drain
+    out, and [Exec.run] re-raises it. *)
+let test_runtime_error_propagates () =
+  let prog = Helpers.compile failing_src in
+  let lock_groups = (Bamboo.analyse prog).lock_groups in
+  let layout = Exec.spread_layout prog (Machine.with_cores Machine.tilepro64 4) in
+  let args = [ "5" ] in
+  let expected =
+    runtime_error_of "reference_run"
+      (within 30.0 (fun () -> Exec.reference_run ~args ~lock_groups prog layout))
+  in
+  Helpers.check_bool "reference names the index" true (Str_find.contains expected "5");
+  List.iter
+    (fun (domains, schedule, name) ->
+      let got =
+        runtime_error_of name
+          (within 30.0 (fun () -> Exec.run ~args ~domains ~schedule ~lock_groups prog layout))
+      in
+      Helpers.check_string (name ^ ": same message as the sequential runtime") expected got)
+    [
+      (1, Exec.Static, "1 domain static");
+      (2, Exec.Static, "2 domains static");
+      (1, Exec.Steal, "1 domain steal");
+      (2, Exec.Steal, "2 domains steal");
+    ]
+
+(** On a session, a failing injection marks the session crashed (the
+    generator's stop signal) and [close_session] re-raises the error. *)
+let test_session_crash_propagates () =
+  let prog = Helpers.compile failing_src in
+  let layout = Exec.spread_layout prog (Machine.with_cores Machine.tilepro64 4) in
+  let tracker =
+    { Exec.tk_pending = [| Atomic.make 0 |]; tk_done = (fun ~req:_ ~core:_ -> ()) }
+  in
+  let outcome =
+    within 30.0 (fun () ->
+        let ses = Exec.open_session ~domains:2 ~tracker prog layout in
+        Exec.inject ses ~req:0 [ "5" ];
+        while Exec.session_crashed ses = None do
+          Unix.sleepf 0.001
+        done;
+        (match Exec.session_crashed ses with
+        | Some (Bamboo.Value.Runtime_error _) -> ()
+        | _ -> Alcotest.fail "session_crashed holds something other than the runtime error");
+        ignore (Exec.close_session ses))
+  in
+  ignore (runtime_error_of "close_session" outcome : string)
+
+(** The CLI's exit contract: a program runtime error is exit 1 with a
+    one-line [bamboo: runtime error: MSG] on stderr, under every
+    executing subcommand; [--exec-reference] with [--sanitize] is a
+    usage error (124). *)
+let test_cli_exit_contract () =
+  let file = Filename.temp_file "failing" ".bam" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_text file (fun oc -> output_string oc failing_src);
+      let prog = Helpers.compile failing_src in
+      let layout = Exec.spread_layout prog Machine.single in
+      let msg =
+        runtime_error_of "reference_run"
+          (try Ok (Exec.reference_run ~args:[ "5" ] prog layout) with e -> Error e)
+      in
+      List.iter
+        (fun sub ->
+          let code, _, err = Helpers.run_cli (sub @ [ file; "--"; "5" ]) in
+          let name = String.concat " " sub in
+          Helpers.check_int (name ^ ": exit status") 1 code;
+          Helpers.check_string (name ^ ": stderr") ("bamboo: runtime error: " ^ msg ^ "\n") err)
+        [
+          [ "run"; "--cores"; "4" ];
+          [ "profile" ];
+          [ "exec"; "--cores"; "4"; "--domains"; "1" ];
+          [ "exec"; "--cores"; "4"; "--domains"; "2" ];
+        ];
+      let code, _, err =
+        Helpers.run_cli
+          [ "exec"; "--exec-reference"; "--sanitize"; "bench:KeywordCount"; "--"; "8" ]
+      in
+      Helpers.check_int "--exec-reference --sanitize: exit status" 124 code;
+      Helpers.check_bool "--exec-reference --sanitize: names the conflict" true
+        (Str_find.contains err "--exec-reference cannot be combined with --sanitize"))
+
 let tests =
   [
     ("exec.equivalence", equivalence_cases);
@@ -456,6 +590,12 @@ let tests =
         Alcotest.test_case "canonical digest" `Quick test_canon_insensitive;
         Alcotest.test_case "reference escape hatch" `Quick test_reference_escape_hatch;
         Alcotest.test_case "removed switches inert" `Quick test_removed_switches_inert;
+      ] );
+    ( "exec.failure",
+      [
+        Alcotest.test_case "runtime error propagates" `Quick test_runtime_error_propagates;
+        Alcotest.test_case "session crash propagates" `Quick test_session_crash_propagates;
+        Alcotest.test_case "cli exit contract" `Quick test_cli_exit_contract;
       ] );
     ( "exec.stress",
       [
